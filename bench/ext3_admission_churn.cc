@@ -1,30 +1,27 @@
-// Extension experiment 3 — incremental admission under tenant churn.
+// Extension experiment 3 — exact admission ledger under tenant churn.
 //
 // Ramps a Pareto-lifetime churn workload (workload/churn.h) toward
 // SFP_BENCH_CHURN_BOXES logical SFC boxes (default 20,000 for the CI
 // smoke tier; nightly sets 1,000,000) and measures the per-arrival
-// admission decision latency of the long-lived IncrementalAdmissionLp:
-// every arrival appends one column and re-solves via the dual-simplex
-// warm restart from the previous optimal basis, so the admit cost is
-// proportional to the perturbation, not the committed population.
+// admission decision latency of controlplane::AdmissionLedger: an
+// arrival compares the rows its footprint touches (per-stage entries
+// plus the eq. 26 backplane) against fixed-point running sums, so the
+// admit cost is O(rows) whatever the live population.
 //
 // SLOs (nonzero exit on violation, so CI fails even without the JSON
-// diff):
-//   * warm-hit rate >= 90% under steady churn at every tier;
-//   * warm-vs-cold differential: SFP_BENCH_CHURN_DIFF_TRACES traces
-//     (default 3; nightly 200) replayed solving every arrival both
-//     incrementally and from scratch must agree on every admit/reject
-//     and on the objective within tolerance.
+// diff): SFP_BENCH_CHURN_DIFF_TRACES tight-capacity traces (default 3;
+// nightly 200) are replayed through the ledger and through
+// controlplane::ClosedFormFits, which recomputes the closed form from
+// the live set from scratch; every admit/reject and every departure
+// must agree, and the traces must contain rejects.
 //
-// The JSON report carries solver.warm.* plus system.admit.latency.*
-// for the top tier; tools/compare_bench_json.py gates the warm-hit
-// percentage (abs_min), the differential mismatch count (abs_max 0)
-// and the p99 scaling ratio between the top and bottom tiers (abs_max
-// — warm admits must not degrade with population).
+// The JSON report carries the top tier's decision counts and latency
+// percentiles; tools/compare_bench_json.py gates the differential
+// mismatch count (abs_max 0) and the p99 scaling ratio between the top
+// and bottom tiers (abs_max — admits must not degrade with population).
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +31,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "controlplane/admission_lp.h"
+#include "controlplane/admission_ledger.h"
 #include "workload/churn.h"
 
 using namespace sfp;
@@ -49,49 +46,6 @@ std::int64_t EnvInt(const char* name, std::int64_t fallback) {
   return fallback;
 }
 
-/// Per-row capacities calibrated from a trace: the live demand at the
-/// midpoint arrival (assuming every arrival admits), scaled by
-/// `scale`. Anchoring to realized demand instead of the analytic
-/// steady state guarantees the second half of the trace runs at or
-/// above capacity — the heavy-tailed lifetimes make the analytic ramp
-/// converge too slowly to saturate short traces.
-struct Calibration {
-  std::vector<double> stage_capacity;
-  double backplane_gbps = 0.0;
-};
-
-Calibration CapacityAtMidpoint(const std::vector<workload::ChurnEvent>& trace,
-                               const workload::ChurnOptions& churn, double scale) {
-  std::vector<double> stage(static_cast<std::size_t>(churn.num_stages), 0.0);
-  double backplane = 0.0;
-  std::unordered_map<controlplane::IncrementalAdmissionLp::TenantKey,
-                     const controlplane::TenantFootprint*>
-      live;
-  std::int64_t arrivals_seen = 0;
-  const std::int64_t midpoint = churn.num_arrivals / 2;
-  for (const auto& event : trace) {
-    if (event.kind == workload::ChurnEvent::Kind::kArrive) {
-      for (const auto& [s, entries] : event.footprint.stage_entries) {
-        stage[static_cast<std::size_t>(s)] += entries;
-      }
-      backplane += event.footprint.BackplaneCharge();
-      live.emplace(event.tenant, &event.footprint);
-      if (++arrivals_seen == midpoint) break;
-    } else if (const auto it = live.find(event.tenant); it != live.end()) {
-      for (const auto& [s, entries] : it->second->stage_entries) {
-        stage[static_cast<std::size_t>(s)] -= entries;
-      }
-      backplane -= it->second->BackplaneCharge();
-      live.erase(it);
-    }
-  }
-  Calibration cal;
-  cal.stage_capacity.reserve(stage.size());
-  for (const double demand : stage) cal.stage_capacity.push_back(demand * scale);
-  cal.backplane_gbps = backplane * scale;
-  return cal;
-}
-
 std::uint64_t Percentile(std::vector<std::uint64_t>& sorted_ns, double q) {
   if (sorted_ns.empty()) return 0;
   const auto idx = static_cast<std::size_t>(
@@ -103,11 +57,11 @@ struct TierResult {
   std::int64_t boxes = 0;
   std::int64_t population = 0;
   std::int64_t arrivals = 0;
-  controlplane::IncrementalAdmissionLp::Counters counters;
+  std::int64_t admitted = 0;
+  std::int64_t rejected = 0;
   std::uint64_t p50_ns = 0;
   std::uint64_t p99_ns = 0;
   std::uint64_t max_ns = 0;
-  double warm_hit_pct = 0.0;
 };
 
 // Mean boxes per tenant with chain length U[3, 7].
@@ -129,14 +83,9 @@ TierResult RunTier(std::int64_t boxes, std::uint64_t seed) {
   const auto trace = workload::GenerateChurnTrace(churn, rng);
 
   // Capacity = 105% of the midpoint live demand: the second half of
-  // the trace (the measurement window) runs at capacity, every
-  // decision rides binding rows, and the Pareto bandwidth tail keeps
-  // the binding set moving — the regime warm repair must survive.
-  const Calibration cal = CapacityAtMidpoint(trace, churn, 1.05);
-  controlplane::AdmissionLpOptions lp_options;
-  lp_options.stage_capacity = cal.stage_capacity;
-  lp_options.backplane_gbps = cal.backplane_gbps;
-  controlplane::IncrementalAdmissionLp lp(lp_options);
+  // the trace (the measurement window) runs at capacity, so decisions
+  // ride binding rows and both verdicts occur.
+  controlplane::AdmissionLedger ledger(workload::CapacityAtMidpoint(trace, churn, 1.05));
 
   const std::size_t warmup_arrivals = static_cast<std::size_t>(result.population);
   std::vector<std::uint64_t> latencies_ns;
@@ -144,13 +93,14 @@ TierResult RunTier(std::int64_t boxes, std::uint64_t seed) {
   std::size_t arrivals_seen = 0;
   for (const auto& event : trace) {
     if (event.kind == workload::ChurnEvent::Kind::kDepart) {
-      lp.Remove(event.tenant);
+      ledger.Remove(event.tenant);
       continue;
     }
     ++arrivals_seen;
     const auto started = std::chrono::steady_clock::now();
-    lp.TryAdmit(event.tenant, event.footprint);
+    const bool admitted = ledger.TryAdmit(event.tenant, event.footprint);
     const auto elapsed = std::chrono::steady_clock::now() - started;
+    ++(admitted ? result.admitted : result.rejected);
     if (arrivals_seen > warmup_arrivals) {
       latencies_ns.push_back(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
@@ -159,22 +109,23 @@ TierResult RunTier(std::int64_t boxes, std::uint64_t seed) {
 
   std::sort(latencies_ns.begin(), latencies_ns.end());
   result.arrivals = static_cast<std::int64_t>(arrivals_seen);
-  result.counters = lp.counters();
   result.p50_ns = Percentile(latencies_ns, 0.50);
   result.p99_ns = Percentile(latencies_ns, 0.99);
   result.max_ns = latencies_ns.empty() ? 0 : latencies_ns.back();
-  result.warm_hit_pct =
-      result.counters.warm_attempts > 0
-          ? 100.0 * static_cast<double>(result.counters.warm_successes) /
-                static_cast<double>(result.counters.warm_attempts)
-          : 0.0;
   return result;
 }
 
-/// Replays one small tight-capacity trace solving every arrival both
-/// warm-incrementally and via the from-scratch cold oracle. Returns the
-/// number of disagreements (decision flips or objective divergence).
-std::int64_t RunDifferentialTrace(std::uint64_t seed) {
+struct DiffResult {
+  std::int64_t decisions = 0;
+  std::int64_t rejects = 0;
+  std::int64_t mismatches = 0;
+};
+
+/// Replays one small tight-capacity trace through the ledger and, for
+/// every arrival, through the closed form recomputed from scratch over
+/// the live set the ledger admitted; departures must agree on whether
+/// the tenant was live.
+DiffResult RunDifferentialTrace(std::uint64_t seed) {
   workload::ChurnOptions churn;
   churn.target_population = 48;
   churn.num_arrivals = 256;
@@ -184,78 +135,80 @@ std::int64_t RunDifferentialTrace(std::uint64_t seed) {
 
   // Tight capacity (85% of midpoint demand) forces a reject-heavy mix
   // so the differential exercises both decision branches.
-  const Calibration cal = CapacityAtMidpoint(trace, churn, 0.85);
-  controlplane::AdmissionLpOptions lp_options;
-  lp_options.stage_capacity = cal.stage_capacity;
-  lp_options.backplane_gbps = cal.backplane_gbps;
-  controlplane::IncrementalAdmissionLp warm(lp_options);
+  const controlplane::AdmissionCapacity capacity =
+      workload::CapacityAtMidpoint(trace, churn, 0.85);
+  controlplane::AdmissionLedger ledger(capacity);
+  std::unordered_map<controlplane::TenantKey, const controlplane::TenantFootprint*> live;
+  std::vector<const controlplane::TenantFootprint*> live_set;
 
-  std::int64_t mismatches = 0;
+  DiffResult result;
   for (const auto& event : trace) {
     if (event.kind == workload::ChurnEvent::Kind::kDepart) {
-      warm.Remove(event.tenant);
+      if (ledger.Remove(event.tenant) != (live.erase(event.tenant) == 1)) {
+        ++result.mismatches;
+        std::printf("  differential mismatch (seed %" PRIu64 ", tenant %u): departure\n",
+                    seed, event.tenant);
+      }
       continue;
     }
-    const auto cold = warm.ColdReference(event.tenant, event.footprint);
-    const auto live = warm.TryAdmit(event.tenant, event.footprint);
-    const double obj_tol = 1e-6 * std::max(1.0, std::abs(cold.objective));
-    if (live.admitted != cold.admitted ||
-        std::abs(live.objective - cold.objective) > obj_tol ||
-        std::abs(live.candidate_value - cold.candidate_value) > 1e-6) {
-      ++mismatches;
+    live_set.clear();
+    for (const auto& [tenant, footprint] : live) live_set.push_back(footprint);
+    const bool oracle = controlplane::ClosedFormFits(capacity, live_set, event.footprint);
+    const bool admitted = ledger.TryAdmit(event.tenant, event.footprint);
+    ++result.decisions;
+    if (!admitted) ++result.rejects;
+    if (admitted) live.emplace(event.tenant, &event.footprint);
+    if (admitted != oracle) {
+      ++result.mismatches;
       std::printf("  differential mismatch (seed %" PRIu64 ", tenant %u): "
-                  "warm{admit=%d obj=%.9f x=%.9f} cold{admit=%d obj=%.9f x=%.9f}\n",
-                  seed, event.tenant, live.admitted, live.objective,
-                  live.candidate_value, cold.admitted, cold.objective,
-                  cold.candidate_value);
+                  "ledger admit=%d, closed form admit=%d\n",
+                  seed, event.tenant, admitted, oracle);
     }
   }
-  return mismatches;
+  return result;
 }
 
 }  // namespace
 
 int main() {
-  bench::PrintHeader("Ext. 3", "incremental admission under million-tenant churn");
+  bench::PrintHeader("Ext. 3", "exact admission ledger under million-tenant churn");
   bench::BenchReport report("ext3_admission_churn",
-                            "incremental admission under million-tenant churn");
+                            "exact admission ledger under million-tenant churn");
 
   const std::int64_t target_boxes = EnvInt("SFP_BENCH_CHURN_BOXES", 20000);
   const std::int64_t diff_traces = EnvInt("SFP_BENCH_CHURN_DIFF_TRACES", 3);
 
   Table table({"SFC boxes", "population", "arrivals", "admitted", "rejected",
-               "warm hit %", "dual it/solve", "p50 admit (ns)", "p99 admit (ns)"});
+               "p50 admit (ns)", "p99 admit (ns)", "max admit (ns)"});
   std::vector<TierResult> tiers;
   for (const std::int64_t divisor : {8, 4, 2, 1}) {
     const std::int64_t boxes = std::max<std::int64_t>(64, target_boxes / divisor);
     if (!tiers.empty() && tiers.back().boxes == boxes) continue;
     const TierResult tier = RunTier(boxes, /*seed=*/0x5F0C0FFEEULL + tiers.size());
-    const double dual_per_solve =
-        tier.counters.solves > 0
-            ? static_cast<double>(tier.counters.dual_iterations) /
-                  static_cast<double>(tier.counters.solves)
-            : 0.0;
     table.Row()
         .Add(tier.boxes)
         .Add(tier.population)
         .Add(tier.arrivals)
-        .Add(tier.counters.admitted)
-        .Add(tier.counters.rejected)
-        .Add(tier.warm_hit_pct, 1)
-        .Add(dual_per_solve, 2)
+        .Add(tier.admitted)
+        .Add(tier.rejected)
         .Add(static_cast<std::int64_t>(tier.p50_ns))
-        .Add(static_cast<std::int64_t>(tier.p99_ns));
+        .Add(static_cast<std::int64_t>(tier.p99_ns))
+        .Add(static_cast<std::int64_t>(tier.max_ns));
     tiers.push_back(tier);
   }
   table.Print(std::cout);
 
-  std::int64_t diff_mismatches = 0;
+  DiffResult diff;
   for (std::int64_t t = 0; t < diff_traces; ++t) {
-    diff_mismatches += RunDifferentialTrace(0xC0FFEEULL + static_cast<std::uint64_t>(t));
+    const DiffResult trace = RunDifferentialTrace(0xC0FFEEULL + static_cast<std::uint64_t>(t));
+    diff.decisions += trace.decisions;
+    diff.rejects += trace.rejects;
+    diff.mismatches += trace.mismatches;
   }
-  std::printf("differential: %lld trace(s), %lld mismatch(es)\n",
-              static_cast<long long>(diff_traces),
-              static_cast<long long>(diff_mismatches));
+  std::printf("differential: %lld trace(s), %lld decision(s) (%lld rejects), "
+              "%lld mismatch(es)\n",
+              static_cast<long long>(diff_traces), static_cast<long long>(diff.decisions),
+              static_cast<long long>(diff.rejects), static_cast<long long>(diff.mismatches));
 
   const TierResult& top = tiers.back();
   const TierResult& bottom = tiers.front();
@@ -264,38 +217,26 @@ int main() {
           ? static_cast<double>(top.p99_ns) / static_cast<double>(bottom.p99_ns)
           : 0.0;
   bench::PrintNote(
-      "steady-state admits re-solve from the previous optimal basis via dual "
-      "pivots; cost tracks the perturbation, so p99 stays flat as the "
-      "committed population grows 8x.");
+      "an admit compares the rows its footprint touches against fixed-point "
+      "running sums; cost is O(rows), so p99 stays flat as the live "
+      "population grows 8x.");
 
   // The JSON carries the top tier's counters (the headline scale).
   auto& metrics = report.metrics();
   metrics.GetCounter("churn.boxes.target").Set(static_cast<std::uint64_t>(top.boxes));
   metrics.GetCounter("churn.population").Set(static_cast<std::uint64_t>(top.population));
-  metrics.GetCounter("solver.warm.solves")
-      .Set(static_cast<std::uint64_t>(top.counters.solves));
-  metrics.GetCounter("solver.warm.attempts")
-      .Set(static_cast<std::uint64_t>(top.counters.warm_attempts));
-  metrics.GetCounter("solver.warm.successes")
-      .Set(static_cast<std::uint64_t>(top.counters.warm_successes));
-  metrics.GetCounter("solver.warm.hit_pct")
-      .Set(static_cast<std::uint64_t>(top.warm_hit_pct));
-  metrics.GetCounter("solver.warm.dual_iterations")
-      .Set(static_cast<std::uint64_t>(top.counters.dual_iterations));
-  metrics.GetCounter("solver.warm.total_iterations")
-      .Set(static_cast<std::uint64_t>(top.counters.total_iterations));
-  metrics.GetCounter("solver.warm.phase1_iterations")
-      .Set(static_cast<std::uint64_t>(top.counters.phase1_iterations));
-  metrics.GetCounter("solver.warm.rebuilds")
-      .Set(static_cast<std::uint64_t>(top.counters.rebuilds));
+  metrics.GetCounter("churn.admitted").Set(static_cast<std::uint64_t>(top.admitted));
+  metrics.GetCounter("churn.rejected").Set(static_cast<std::uint64_t>(top.rejected));
   metrics.GetCounter("system.admit.latency.p50_ns").Set(top.p50_ns);
   metrics.GetCounter("system.admit.latency.p99_ns").Set(top.p99_ns);
   metrics.GetCounter("system.admit.latency.max_ns").Set(top.max_ns);
   metrics.GetCounter("churn.p99_scaling_ratio_x100")
       .Set(static_cast<std::uint64_t>(p99_ratio * 100.0));
   metrics.GetCounter("churn.diff.traces").Set(static_cast<std::uint64_t>(diff_traces));
+  metrics.GetCounter("churn.diff.decisions").Set(static_cast<std::uint64_t>(diff.decisions));
+  metrics.GetCounter("churn.diff.rejects").Set(static_cast<std::uint64_t>(diff.rejects));
   metrics.GetCounter("churn.diff.mismatches")
-      .Set(static_cast<std::uint64_t>(diff_mismatches));
+      .Set(static_cast<std::uint64_t>(diff.mismatches));
 
   report.AddTable("admission_churn", table);
   report.AddNote("p99 scaling ratio (top tier / bottom tier): " +
@@ -304,16 +245,14 @@ int main() {
 
   // SLO assertions — fail the bench (and CI) directly.
   bool ok = true;
-  for (const TierResult& tier : tiers) {
-    if (tier.warm_hit_pct < 90.0) {
-      std::printf("SLO VIOLATION: warm-hit %.1f%% < 90%% at %lld boxes\n",
-                  tier.warm_hit_pct, static_cast<long long>(tier.boxes));
-      ok = false;
-    }
+  if (diff.mismatches != 0) {
+    std::printf("SLO VIOLATION: %lld ledger-vs-closed-form mismatches\n",
+                static_cast<long long>(diff.mismatches));
+    ok = false;
   }
-  if (diff_mismatches != 0) {
-    std::printf("SLO VIOLATION: %lld warm-vs-cold mismatches\n",
-                static_cast<long long>(diff_mismatches));
+  if (diff.rejects == 0) {
+    std::printf("SLO VIOLATION: the differential traces never rejected; capacity "
+                "never bound\n");
     ok = false;
   }
   return ok ? 0 : 1;

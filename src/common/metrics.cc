@@ -55,6 +55,15 @@ void Histogram::Observe(double value) {
   AtomicMax(max_, value);
 }
 
+void Histogram::Assign(const Histogram& other) {
+  SFP_CHECK_MSG(bounds_ == other.bounds_, "histogram bounds differ");
+  for (std::size_t i = 0; i < buckets_.size(); ++i) buckets_[i].Set(other.buckets_[i].Value());
+  count_.Set(other.count_.Value());
+  sum_.store(other.sum_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  min_.store(other.min_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  max_.store(other.max_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+}
+
 double Histogram::Min() const {
   return Count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
 }

@@ -93,6 +93,11 @@ class Histogram {
 
   void Observe(double value);
 
+  /// Overwrites this histogram with `other`'s state (the bounds must
+  /// match) — used when snapshotting a component-internal histogram
+  /// into a registry, like Counter::Set.
+  void Assign(const Histogram& other);
+
   std::uint64_t Count() const { return count_.Value(); }
   double Sum() const { return sum_.load(std::memory_order_relaxed); }
   /// 0 when empty.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <thread>
 
+#include "common/check.h"
 #include "common/faultinject.h"
 #include "common/logging.h"
 #include "controlplane/greedy_solver.h"
@@ -55,17 +56,30 @@ const char* ProvisionPathName(ProvisionPath path) {
   return "unknown";
 }
 
-SfpSystem::SfpSystem(switchsim::SwitchConfig config) : data_plane_(config) {}
+namespace {
 
-void SfpSystem::RecordAdmitLatency(bool timed,
-                                   std::chrono::steady_clock::time_point started) {
-  if (!timed) return;
+/// The eq. 26 footprint of a planned or allocated chain.
+controlplane::TenantFootprint BackplaneFootprint(const dataplane::Sfc& sfc, int passes) {
+  controlplane::TenantFootprint footprint;
+  footprint.bandwidth_gbps = sfc.bandwidth_gbps;
+  footprint.passes = passes;
+  return footprint;
+}
+
+}  // namespace
+
+SfpSystem::SfpSystem(switchsim::SwitchConfig config)
+    : data_plane_(config),
+      // Backplane row only: the data plane checks memory when planning.
+      ledger_(controlplane::AdmissionCapacity{config.backplane_gbps, {}}),
+      // 250 ns .. ~2 ms: plan + install of a chain through retry backoff.
+      admit_latency_ns_(std::make_unique<common::metrics::Histogram>(
+          common::metrics::ExponentialBounds(250.0, 2.0, 14))) {}
+
+void SfpSystem::RecordAdmitLatency(std::chrono::steady_clock::time_point started) {
   const auto elapsed = std::chrono::steady_clock::now() - started;
-  const auto ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  ++admit_latency_count_;
-  admit_latency_total_ns_ += ns;
-  admit_latency_max_ns_ = std::max(admit_latency_max_ns_, ns);
+  admit_latency_ns_->Observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
 }
 
 controlplane::SfcSpec SfpSystem::ToSpec(const dataplane::Sfc& sfc) {
@@ -249,35 +263,9 @@ void SfpSystem::ExportMetrics(common::metrics::Registry& registry) const {
   registry.GetCounter("system.admit.install_retries").Set(install_retries_.Value());
   {
     std::lock_guard<std::mutex> lock(*control_mutex_);
-    registry.GetCounter("system.tenants").Set(admissions_.size());
-    if (admission_lp_) {
-      // solver.warm.* plus admit-latency accounting only exist on the
-      // incremental-admission path, so legacy bench baselines keep
-      // their exact counter sets.
-      admission_lp_->ExportMetrics(registry);
-      registry.GetCounter("system.admit.latency.count").Set(admit_latency_count_);
-      registry.GetCounter("system.admit.latency.total_ns").Set(admit_latency_total_ns_);
-      registry.GetCounter("system.admit.latency.max_ns").Set(admit_latency_max_ns_);
-    }
-  }
-}
-
-void SfpSystem::EnableIncrementalAdmission(bool warm) {
-  std::lock_guard<std::mutex> lock(*control_mutex_);
-  // The data plane's AllocateSfc already enforces memory/placement
-  // feasibility per arrival, so the system-level LP carries only the
-  // shared eq. 26 backplane row; per-stage entry rows are exercised by
-  // the controlplane-level churn workloads where footprints are
-  // explicit.
-  controlplane::AdmissionLpOptions options;
-  options.backplane_gbps = data_plane_.pipeline().config().backplane_gbps;
-  options.warm = warm;
-  admission_lp_ = std::make_unique<controlplane::IncrementalAdmissionLp>(options);
-  for (const auto& [tenant, admission] : admissions_) {
-    controlplane::TenantFootprint footprint;
-    footprint.bandwidth_gbps = admission.bandwidth_gbps;
-    footprint.passes = admission.passes;
-    admission_lp_->Commit(tenant, footprint);
+    registry.GetCounter("system.tenants").Set(ledger_.size());
+    registry.GetHistogram("system.admit.latency_ns", admit_latency_ns_->bounds())
+        .Assign(*admit_latency_ns_);
   }
 }
 
@@ -285,33 +273,61 @@ void SfpSystem::EnableCompiledPlans() {
   std::lock_guard<std::mutex> lock(*control_mutex_);
   data_plane_.EnableCompiledPlans();
   auto* cache = data_plane_.pipeline().plan_cache();
-  for (const auto& [tenant, admission] : admissions_) cache->Warm(tenant);
+  for (const auto& [tenant, charge] : ledger_.tenants()) {
+    cache->Warm(static_cast<dataplane::TenantId>(tenant));
+  }
 }
 
 AdmitResult SfpSystem::AdmitTenant(const dataplane::Sfc& sfc, const AdmitOptions& options) {
   std::lock_guard<std::mutex> lock(*control_mutex_);
-  // Admission latency SLO accounting (only measured on the LP path so
-  // the legacy path stays clock-free).
-  const bool timed = admission_lp_ != nullptr;
-  const auto started =
-      timed ? std::chrono::steady_clock::now() : std::chrono::steady_clock::time_point{};
+  const auto started = std::chrono::steady_clock::now();
+  AdmitResult result = AdmitTenantLocked(sfc, options);
+  RecordAdmitLatency(started);
+  return result;
+}
+
+AdmitResult SfpSystem::AdmitTenantLocked(const dataplane::Sfc& sfc,
+                                         const AdmitOptions& options) {
   AdmitResult result;
-  if (admissions_.contains(sfc.tenant)) {
+  if (ledger_.Contains(sfc.tenant)) {
     result.code = AdmitCode::kAlreadyAdmitted;
     result.reason = "tenant already admitted";
     rejects_already_.Add();
     return result;
   }
+  result.attempts = 1;
 
-  // §IV allocation onto the shared pipeline. Transient faults (rule
-  // installs failing mid-allocation; AllocateSfc has already unwound
-  // the partial install) are retried with exponential backoff;
-  // deterministic rejections (no placement, empty chain) are not.
+  // 1. Plan the §IV allocation onto the shared pipeline (pure).
+  // Deterministic rejections (no placement, empty chain) end here.
+  const dataplane::AllocationPlan plan = data_plane_.PlanSfc(sfc);
+  if (!plan.allocation.ok) {
+    result.code = AdmitCode::kAllocationFailed;
+    result.reason = plan.allocation.error;
+    rejects_alloc_.Add();
+    return result;
+  }
+
+  // 2. eq. 26 admission control on the planned pass count:
+  // recirculated traffic competes with new inbound traffic on the
+  // backplane. Checked before any install, so a rejected tenant never
+  // becomes briefly servable and never invalidates anyone's plan.
+  const controlplane::TenantFootprint footprint =
+      BackplaneFootprint(sfc, plan.allocation.passes);
+  if (!ledger_.Fits(footprint)) {
+    result.code = AdmitCode::kBackplaneExceeded;
+    result.reason = "backplane capacity exceeded";
+    rejects_backplane_.Add();
+    return result;
+  }
+
+  // 3. Install. Transient faults (rule installs failing mid-flight;
+  // InstallSfc has already unwound the partial install, so the plan
+  // stays valid) are retried with exponential backoff.
   const int max_attempts = std::max(1, options.max_attempts);
   dataplane::AllocationResult allocation;
   auto backoff = options.initial_backoff;
-  for (result.attempts = 1; result.attempts <= max_attempts; ++result.attempts) {
-    allocation = data_plane_.AllocateSfc(sfc);
+  for (;; ++result.attempts) {
+    allocation = data_plane_.InstallSfc(sfc, plan);
     if (allocation.ok || !allocation.transient()) break;
     if (result.attempts == max_attempts) break;
     install_retries_.Add();
@@ -322,7 +338,6 @@ AdmitResult SfpSystem::AdmitTenant(const dataplane::Sfc& sfc, const AdmitOptions
       backoff *= 2;
     }
   }
-  result.attempts = std::min(result.attempts, max_attempts);
   if (!allocation.ok) {
     result.code = allocation.transient() ? AdmitCode::kInstallFault
                                          : AdmitCode::kAllocationFailed;
@@ -331,52 +346,18 @@ AdmitResult SfpSystem::AdmitTenant(const dataplane::Sfc& sfc, const AdmitOptions
     return result;
   }
 
-  // eq. 26 admission control: recirculated traffic competes with new
-  // inbound traffic on the backplane. With the incremental LP enabled
-  // the decision comes from a dual-simplex warm re-solve over the
-  // persistent admission LP (O(perturbation)); otherwise the legacy
-  // sum over all admissions decides (O(tenants)). Both accept iff
-  // used + passes*T fits the backplane.
-  const double charge = allocation.passes * sfc.bandwidth_gbps;
-  bool accepted;
-  if (admission_lp_) {
-    controlplane::TenantFootprint footprint;
-    footprint.bandwidth_gbps = sfc.bandwidth_gbps;
-    footprint.passes = allocation.passes;
-    if (footprint.bandwidth_gbps > 0.0) {
-      accepted = admission_lp_->TryAdmit(sfc.tenant, footprint).admitted;
-    } else {
-      // Zero charge always fits (matches the legacy check); the LP's
-      // decision rule needs a positive objective pull to be unique.
-      admission_lp_->Commit(sfc.tenant, footprint);
-      accepted = true;
-    }
-  } else {
-    double used = 0.0;
-    for (const auto& [tenant, admission] : admissions_) {
-      used += admission.passes * admission.bandwidth_gbps;
-    }
-    accepted = used + charge <= data_plane_.pipeline().config().backplane_gbps + 1e-9;
-  }
-  if (!accepted) {
-    data_plane_.DeallocateSfc(sfc.tenant);
-    result.code = AdmitCode::kBackplaneExceeded;
-    result.reason = "backplane capacity exceeded";
-    rejects_backplane_.Add();
-    RecordAdmitLatency(timed, started);
-    return result;
-  }
-
-  admissions_[sfc.tenant] = {sfc.bandwidth_gbps, allocation.passes};
+  const bool booked = ledger_.TryAdmit(sfc.tenant, footprint);
+  SFP_CHECK_MSG(booked, "eq. 26 charge stopped fitting between plan and install");
+  const auto& charge = ledger_.tenants().at(sfc.tenant);
   result.admitted = true;
   result.code = AdmitCode::kOk;
   result.passes = allocation.passes;
-  result.backplane_gbps = charge;
+  result.backplane_gbps = static_cast<double>(charge.backplane_bps) /
+                          controlplane::AdmissionLedger::kUnitsPerGbps;
   admits_ok_.Add();
   // Warm compile so the tenant's first served batch runs the compiled
   // plan instead of paying a serve-path try-lock compile.
   if (auto* cache = data_plane_.pipeline().plan_cache()) cache->Warm(sfc.tenant);
-  RecordAdmitLatency(timed, started);
   return result;
 }
 
@@ -431,8 +412,7 @@ ReprovisionResult SfpSystem::ReprovisionTenantLocked(const dataplane::Sfc& sfc,
       // what the pipeline serves. Its telemetry series stays live (the
       // tenant has not departed — it is broken, and a later
       // re-provision can still repair it from scratch).
-      admissions_.erase(sfc.tenant);
-      if (admission_lp_) admission_lp_->Remove(sfc.tenant);
+      ledger_.Remove(sfc.tenant);
       result.code = ReprovisionCode::kDiverged;
     } else {
       result.code = ReprovisionCode::kFault;
@@ -446,39 +426,17 @@ ReprovisionResult SfpSystem::ReprovisionTenantLocked(const dataplane::Sfc& sfc,
   result.passes = allocation->passes;
 
   // eq. 26 re-check: folding may land the re-allocated chain on a
-  // different pass count, changing its backplane charge. With the LP
-  // enabled the old charge is released and the new one re-offered as a
-  // warm re-solve; otherwise the legacy sum decides.
-  const double charge = result.passes * sfc.bandwidth_gbps;
-  bool accepted;
-  if (admission_lp_) {
-    admission_lp_->Remove(sfc.tenant);  // no-op when not committed
-    controlplane::TenantFootprint footprint;
-    footprint.bandwidth_gbps = sfc.bandwidth_gbps;
-    footprint.passes = result.passes;
-    if (footprint.bandwidth_gbps > 0.0) {
-      accepted = admission_lp_->TryAdmit(sfc.tenant, footprint).admitted;
-    } else {
-      admission_lp_->Commit(sfc.tenant, footprint);
-      accepted = true;
-    }
-  } else {
-    double used = 0.0;
-    for (const auto& [tenant, admission] : admissions_) {
-      if (tenant == sfc.tenant) continue;
-      used += admission.passes * admission.bandwidth_gbps;
-    }
-    accepted = used + charge <= data_plane_.pipeline().config().backplane_gbps + 1e-9;
-  }
-  if (!accepted) {
+  // different pass count, changing its backplane charge. The old
+  // charge is released and the new one re-offered against everyone
+  // else's.
+  ledger_.Remove(sfc.tenant);  // no-op when not booked
+  if (!ledger_.TryAdmit(sfc.tenant, BackplaneFootprint(sfc, result.passes))) {
     data_plane_.DeallocateSfc(sfc.tenant);
-    admissions_.erase(sfc.tenant);
     result.code = ReprovisionCode::kBackplaneExceeded;
     result.reason = "backplane capacity exceeded after re-provision";
     return result;
   }
 
-  admissions_[sfc.tenant] = {sfc.bandwidth_gbps, result.passes};
   result.ok = true;
   result.code = ReprovisionCode::kOk;
   if (auto* cache = data_plane_.pipeline().plan_cache()) cache->Warm(sfc.tenant);
@@ -487,10 +445,8 @@ ReprovisionResult SfpSystem::ReprovisionTenantLocked(const dataplane::Sfc& sfc,
 
 bool SfpSystem::RemoveTenant(dataplane::TenantId tenant) {
   std::lock_guard<std::mutex> lock(*control_mutex_);
-  if (!admissions_.contains(tenant)) return false;
+  if (!ledger_.Remove(tenant)) return false;
   data_plane_.DeallocateSfc(tenant);
-  admissions_.erase(tenant);
-  if (admission_lp_) admission_lp_->Remove(tenant);
   telemetry_.MarkDeparted(tenant);
   if (data_plane_.pipeline().config().cross_tenant_packing) CompactAfterDeparture();
   return true;
@@ -506,8 +462,11 @@ void SfpSystem::CompactAfterDeparture() {
     const auto candidates = data_plane_.PlanCompaction();
     if (candidates.empty()) return;
     const auto& best = candidates.front();
-    const auto* sfc = data_plane_.RetainedSfc(best.tenant);
-    if (sfc == nullptr) return;
+    const auto* retained = data_plane_.RetainedSfc(best.tenant);
+    if (retained == nullptr) return;
+    // A copy: the re-provision batch deallocates the tenant, which
+    // destroys the retained SFC a reference would point into.
+    const dataplane::Sfc sfc = *retained;
     const auto before = best.current_passes;
     // No backoff: a transiently faulted move is simply skipped — the
     // next departure probes again. kDiverged inside the batch is
@@ -516,7 +475,7 @@ void SfpSystem::CompactAfterDeparture() {
     // damage.
     AdmitOptions options;
     options.max_attempts = 1;
-    const auto result = ReprovisionTenantLocked(*sfc, options);
+    const auto result = ReprovisionTenantLocked(sfc, options);
     if (!result.ok) return;
     if (result.passes >= before) return;  // lateral move: stop compacting
     data_plane_.pipeline().RecordXtCompaction(
@@ -529,11 +488,10 @@ void SfpSystem::CompactAfterDeparture() {
 SfpStats SfpSystem::Stats() const {
   std::lock_guard<std::mutex> lock(*control_mutex_);
   SfpStats stats;
-  stats.tenants = static_cast<int>(admissions_.size());
-  for (const auto& [tenant, admission] : admissions_) {
-    stats.offered_gbps += admission.bandwidth_gbps;
-    stats.backplane_gbps += admission.passes * admission.bandwidth_gbps;
-  }
+  stats.tenants = static_cast<int>(ledger_.size());
+  constexpr double kUnitsPerGbps = controlplane::AdmissionLedger::kUnitsPerGbps;
+  stats.offered_gbps = static_cast<double>(ledger_.offered_bps()) / kUnitsPerGbps;
+  stats.backplane_gbps = static_cast<double>(ledger_.backplane_used_bps()) / kUnitsPerGbps;
   stats.blocks_used = data_plane_.pipeline().TotalBlocksUsed();
   stats.entries_used = data_plane_.pipeline().TotalEntriesUsed();
   return stats;

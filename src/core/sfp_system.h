@@ -8,28 +8,30 @@
 //      solver path degrades gracefully (LP+rounding → greedy →
 //      static layout → structured error; see ProvisionReport).
 //   2. `AdmitTenant` / `RemoveTenant` manage logical SFCs at runtime
-//      (§V-E): admission copies tenant rules onto the shared physical
-//      NFs with (tenant, pass) match prefixes and REC recirculation
-//      marks, retrying transient install faults with bounded backoff;
-//      departure releases rules, memory and backplane bandwidth and
-//      applies the telemetry retention policy.
+//      (§V-E): admission plans the chain onto the shared physical NFs,
+//      checks eq. 26 on the planned pass count, and only then copies
+//      the tenant's rules with (tenant, pass) match prefixes and REC
+//      recirculation marks, retrying transient install faults with
+//      bounded backoff; departure releases rules, memory and backplane
+//      bandwidth and applies the telemetry retention policy.
 //   3. `Process` serves tenant packets through the virtualized
 //      pipeline; `ProcessBatch` serves whole batches flow-sharded
 //      across a worker pool (DESIGN.md, "Batched execution").
 //
-// Admission enforces the backplane-capacity constraint (eq. 26):
-// a tenant whose folded chain would push sum(passes x T) past the chip
-// capacity is rejected even when switch memory would suffice.
+// Admission enforces the backplane-capacity constraint (eq. 26) through
+// an exact controlplane::AdmissionLedger: a tenant whose folded chain
+// would push sum(passes x T) past the chip capacity is rejected even
+// when switch memory would suffice — before any of its rules reaches a
+// table, so serving never sees a rejected tenant.
 #pragma once
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 
 #include "common/metrics.h"
-#include "controlplane/admission_lp.h"
+#include "controlplane/admission_ledger.h"
 #include "controlplane/approx_solver.h"
 #include "dataplane/data_plane.h"
 #include "dataplane/telemetry.h"
@@ -60,7 +62,7 @@ struct AdmitResult {
   std::string reason;           // set when rejected (for humans)
   int passes = 0;               // R_l + 1 when admitted
   double backplane_gbps = 0.0;  // capacity charged (passes * T)
-  int attempts = 0;             // allocation attempts (>1 = retried faults)
+  int attempts = 0;             // allocation attempts (>1 = retried install faults)
 };
 
 /// Retry policy for transient install faults during admission.
@@ -164,22 +166,13 @@ class SfpSystem {
   void EnableCompiledPlans();
   bool compiled_plans_enabled() const { return data_plane_.compiled_plans_enabled(); }
 
-  /// Switches the eq. 26 admission check onto the incremental
-  /// admission LP (controlplane/admission_lp.h): the running ledger
-  /// becomes a persistent LP whose basis warm-restarts across
-  /// arrivals/departures via dual-simplex repair, so steady-state
-  /// admit cost stays proportional to the perturbation as the tenant
-  /// population grows. Decisions are equivalent to the legacy
-  /// sum-over-admissions check (both accept iff used + passes*T fits
-  /// the backplane). Already-admitted tenants are seeded in. `warm` =
-  /// false keeps the LP but cold-starts every solve (A/B baseline).
-  /// Off by default; when off, admission behaves exactly as before.
-  void EnableIncrementalAdmission(bool warm = true);
-  bool incremental_admission_enabled() const { return admission_lp_ != nullptr; }
-
-  /// Admits a tenant SFC (§IV allocation + eq. 26 admission control).
-  /// Transient install faults are retried per `options`; the result
-  /// carries the structured reject code.
+  /// Admits a tenant SFC in three steps: plan the §IV allocation
+  /// (pure), check eq. 26 on the planned pass count against the
+  /// admission ledger, then install the rules. A tenant rejected by
+  /// placement or by eq. 26 never touches a table. Transient install
+  /// faults are retried per `options`; the result carries the
+  /// structured reject code. Every call is timed
+  /// (system.admit.latency_ns).
   AdmitResult AdmitTenant(const dataplane::Sfc& sfc, const AdmitOptions& options = {});
 
   /// Removes a tenant, releases its resources, and applies the
@@ -201,7 +194,9 @@ class SfpSystem {
   /// allocated tenant still serving (kFault); only a rollback
   /// double-fault loses it (kDiverged, admission released). On success
   /// the eq. 26 charge is re-checked against the re-allocated pass
-  /// count and the admission record updated. Works on tenants whose
+  /// count and the ledger's charge for the tenant replaced. (The check
+  /// follows the batch: the tenant is live, so planning first would
+  /// need its own footprint discounted.) Works on tenants whose
   /// rules were already lost (IsAllocated false ⇒ admit-only batch),
   /// whether or not their admission record survived. Never touches the
   /// telemetry series — a recovered tenant keeps its history. Fault
@@ -244,6 +239,7 @@ class SfpSystem {
   /// docs/METRICS.md).
   void ExportMetrics(common::metrics::Registry& registry) const;
 
+  /// Admission totals read from the ledger plus switch occupancy.
   SfpStats Stats() const;
 
   /// Per-tenant packet/byte/drop/latency counters.
@@ -258,8 +254,11 @@ class SfpSystem {
   static controlplane::SfcSpec ToSpec(const dataplane::Sfc& sfc);
 
  private:
+  /// AdmitTenant body; control_mutex_ must be held.
+  AdmitResult AdmitTenantLocked(const dataplane::Sfc& sfc, const AdmitOptions& options);
+
   /// Files one AdmitTenant wall-clock sample (control_mutex_ held).
-  void RecordAdmitLatency(bool timed, std::chrono::steady_clock::time_point started);
+  void RecordAdmitLatency(std::chrono::steady_clock::time_point started);
 
   /// ReprovisionTenant body; control_mutex_ must be held.
   ReprovisionResult ReprovisionTenantLocked(const dataplane::Sfc& sfc,
@@ -272,21 +271,15 @@ class SfpSystem {
   void CompactAfterDeparture();
 
   dataplane::DataPlane data_plane_;
-  /// tenant -> (bandwidth, passes) of admitted SFCs.
-  struct Admission {
-    double bandwidth_gbps;
-    int passes;
-  };
-  std::map<dataplane::TenantId, Admission> admissions_;
-  /// Incremental admission LP (EnableIncrementalAdmission); null = the
-  /// legacy sum-over-admissions eq. 26 check. Guarded by control_mutex_.
-  std::unique_ptr<controlplane::IncrementalAdmissionLp> admission_lp_;
-  /// AdmitTenant wall-clock accounting (only measured while the
-  /// admission LP is enabled; exported as system.admit.latency.*).
+  /// Admitted tenants with their bandwidth, passes and eq. 26 charge
+  /// (backplane row only: the data plane checks memory when planning).
   /// Guarded by control_mutex_.
-  std::uint64_t admit_latency_count_ = 0;
-  std::uint64_t admit_latency_total_ns_ = 0;
-  std::uint64_t admit_latency_max_ns_ = 0;
+  controlplane::AdmissionLedger ledger_;
+  /// AdmitTenant wall-clock latency, one sample per call (exported as
+  /// the system.admit.latency_ns histogram). A histogram rather than
+  /// counters: wall-clock values differ run to run, and counters stay
+  /// deterministic. Held by pointer to keep SfpSystem movable.
+  std::unique_ptr<common::metrics::Histogram> admit_latency_ns_;
   dataplane::TelemetryCollector telemetry_;
   /// Admission outcome taxonomy (exported as system.admit.*).
   common::metrics::RelaxedCounter admits_ok_;

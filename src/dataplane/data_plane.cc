@@ -123,7 +123,7 @@ nf::NetworkFunction* DataPlane::PhysicalNf(int stage, nf::NfType type) {
 }
 
 bool DataPlane::PlanSequential(const Sfc& sfc, int pass_limit,
-                               std::vector<PlanStep>& plan) {
+                               std::vector<PlanStep>& plan) const {
   plan.clear();
   // Prospective extra entries per table, so capacity checks account for
   // earlier NFs of this same SFC landing in the same table.
@@ -135,7 +135,7 @@ bool DataPlane::PlanSequential(const Sfc& sfc, int pass_limit,
     const auto& logical = sfc.chain[j];
     // Rules + one catch-all No-Op entry per logical NF.
     const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
-    PhysicalNfSlot* chosen = nullptr;
+    const PhysicalNfSlot* chosen = nullptr;
     while (chosen == nullptr) {
       for (int k = cursor; k < pipeline_.num_stages(); ++k) {
         auto* slot = FindSlot(k, logical.type);
@@ -154,13 +154,13 @@ bool DataPlane::PlanSequential(const Sfc& sfc, int pass_limit,
       if (pass >= pass_limit) return false;
     }
     pending[chosen->table] += entries;
-    plan.push_back({chosen, NfPlacement{chosen->stage, pass}, false});
+    plan.push_back({chosen, NfPlacement{chosen->stage, pass}});
   }
   return true;
 }
 
 bool DataPlane::PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan,
-                           std::vector<std::uint64_t>& rejects) {
+                           std::vector<std::uint64_t>& rejects) const {
   const std::size_t n = sfc.chain.size();
   plan.assign(n, PlanStep{});
 
@@ -187,7 +187,7 @@ bool DataPlane::PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>
   for (std::size_t j = 0; j < n; ++j) {
     const auto& logical = sfc.chain[j];
     const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
-    PhysicalNfSlot* chosen = nullptr;
+    const PhysicalNfSlot* chosen = nullptr;
     int chosen_pass = 0;
     for (int p = 0; p < pass_limit && chosen == nullptr; ++p) {
       // Stage floor within pass p from the precedence edges; a
@@ -219,14 +219,14 @@ bool DataPlane::PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>
     if (chosen == nullptr) return false;  // no pass within the budget fits
     pending[chosen->table] += entries;
     claimed[static_cast<std::size_t>(chosen_pass)].push_back(chosen->table);
-    plan[j] = PlanStep{chosen, NfPlacement{chosen->stage, chosen_pass}, false};
+    plan[j] = PlanStep{chosen, NfPlacement{chosen->stage, chosen_pass}};
   }
   return true;
 }
 
 bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
                                 std::vector<PlanStep>& plan,
-                                std::optional<TenantId> replan_tenant) {
+                                std::optional<TenantId> replan_tenant) const {
   const std::size_t n = sfc.chain.size();
   plan.assign(n, PlanStep{});
 
@@ -268,10 +268,11 @@ bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
     return true;
   };
 
-  auto commit = [&](std::size_t j, PhysicalNfSlot* slot, int p, std::int64_t entries) {
+  auto commit = [&](std::size_t j, const PhysicalNfSlot* slot, int p,
+                    std::int64_t entries) {
     pending[slot->table] += entries;
     claimed[static_cast<std::size_t>(p)].push_back(slot->table);
-    plan[j] = PlanStep{slot, NfPlacement{slot->stage, p}, false};
+    plan[j] = PlanStep{slot, NfPlacement{slot->stage, p}};
     max_pass = std::max(max_pass, p);
   };
 
@@ -284,7 +285,7 @@ bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
     if (successor_free[j]) continue;
     const auto& logical = sfc.chain[j];
     const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
-    PhysicalNfSlot* chosen = nullptr;
+    const PhysicalNfSlot* chosen = nullptr;
     for (int p = 0; p < pass_limit && chosen == nullptr; ++p) {
       int floor = 0;
       if (!pass_floor(j, p, floor)) continue;
@@ -317,7 +318,7 @@ bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
     if (!successor_free[j]) continue;
     const auto& logical = sfc.chain[j];
     const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
-    PhysicalNfSlot* best = nullptr;
+    const PhysicalNfSlot* best = nullptr;
     int best_pass = 0;
     std::tuple<int, int, int, int> best_score{};
     for (int p = 0; p < pass_limit; ++p) {
@@ -376,36 +377,37 @@ int DataPlane::AssignRecMarks(std::vector<PlanStep>& plan) const {
       last[p] = j;
       seen[p] = true;
     }
-    plan[j].rec = false;
+    plan[j].placement.rec = false;
   }
   for (int p = 0; p + 1 < total_passes; ++p) {
-    plan[last[static_cast<std::size_t>(p)]].rec = true;
+    plan[last[static_cast<std::size_t>(p)]].placement.rec = true;
   }
   return total_passes;
 }
 
-AllocationResult DataPlane::AllocateSfc(const Sfc& sfc, std::optional<int> max_passes) {
-  AllocationResult result;
+AllocationPlan DataPlane::PlanSfc(const Sfc& sfc, std::optional<int> max_passes) const {
+  AllocationPlan plan;
+  AllocationResult& result = plan.allocation;
   const int pass_limit = max_passes.value_or(pipeline_.config().max_passes);
 
   if (sfc.chain.empty()) {
     result.code = AllocCode::kEmptyChain;
     result.error = "empty chain";
-    return result;
+    return plan;
   }
   if (allocations_.contains(sfc.tenant)) {
     result.code = AllocCode::kAlreadyAllocated;
     result.error = "tenant already allocated";
-    return result;
+    return plan;
   }
 
-  // ---- plan (pure): match logical NFs to physical slots --------------
-  std::vector<PlanStep> plan;
+  // Match logical NFs to physical slots; nothing below mutates a table.
+  std::vector<PlanStep> steps;
   std::vector<PlanStep> sequential;
   const bool sequential_ok = PlanSequential(sfc, pass_limit, sequential);
   const int sequential_passes = sequential_ok ? AssignRecMarks(sequential) : 0;
 
-  switchsim::Pipeline::PassPackingStats stats;
+  switchsim::Pipeline::PassPackingStats& stats = plan.packing;
   const bool xt = pipeline_.config().cross_tenant_packing;
   // Cross-tenant co-scheduling implies dependency-aware planning: the
   // packed per-tenant plan is the reference the co-scheduled plan must
@@ -429,16 +431,16 @@ AllocationResult DataPlane::AllocateSfc(const Sfc& sfc, std::optional<int> max_p
       stats.fallback_sequential = 1;
     }
     if (use_packed) {
-      plan = std::move(packed);
+      steps = std::move(packed);
       total_passes = packed_passes;
     }
   }
   if (xt) {
     // Co-schedule against the fabric-wide stage-window ledger. The
     // per-tenant never-worse guard compares against the reference the
-    // PR-9 selection just made: the co-scheduled plan is installed
-    // only when it needs no more passes (it may also succeed where the
-    // per-tenant planners failed, extending admissibility).
+    // packed-vs-sequential selection just made: the co-scheduled plan
+    // is taken only when it needs no more passes (it may also succeed
+    // where the per-tenant planners failed, extending admissibility).
     std::vector<PlanStep> co;
     const bool co_ok = PlanCoScheduled(sfc, pass_limit, co);
     const int co_passes = co_ok ? AssignRecMarks(co) : 0;
@@ -446,7 +448,7 @@ AllocationResult DataPlane::AllocateSfc(const Sfc& sfc, std::optional<int> max_p
     const int reference_passes = use_packed ? total_passes : sequential_passes;
     use_xt = co_ok && (!have_reference || co_passes <= reference_passes);
     if (use_xt) {
-      plan = std::move(co);
+      steps = std::move(co);
       total_passes = co_passes;
     } else if (have_reference) {
       stats.xt_fallback = 1;
@@ -456,86 +458,104 @@ AllocationResult DataPlane::AllocateSfc(const Sfc& sfc, std::optional<int> max_p
     if (!sequential_ok) {
       result.code = AllocCode::kNoPlacement;
       result.error = "cannot place the chain within the recirculation budget";
-      return result;
+      return plan;
     }
-    plan = std::move(sequential);
+    steps = std::move(sequential);
   }
   stats.sequential = static_cast<std::uint64_t>(sequential_passes);
   stats.packed = static_cast<std::uint64_t>(total_passes);
   stats.xt_allocations = use_xt ? 1 : 0;
 
-  // ---- install: copy rules with the (tenant, pass) prefix ------------
-  // A rule install can fail transiently under fault injection
-  // ("dataplane.install_rule" here, "switchsim.table.add_entry" inside
-  // the table). On failure every entry installed so far is unwound so
-  // the data plane is left exactly as before the call.
+  result.ok = true;
+  result.passes = total_passes;
+  result.sequential_passes = sequential_passes;
+  result.placements.reserve(steps.size());
+  for (const PlanStep& step : steps) result.placements.push_back(step.placement);
+  return plan;
+}
+
+AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& plan) {
+  if (!plan.allocation.ok) return plan.allocation;
+  SFP_CHECK_EQ(plan.allocation.placements.size(), sfc.chain.size());
+  if (allocations_.contains(sfc.tenant)) {
+    AllocationResult result;
+    result.code = AllocCode::kAlreadyAllocated;
+    result.error = "tenant already allocated";
+    return result;
+  }
+
+  // Copy rules with the (tenant, pass) prefix. A rule install can fail
+  // transiently under fault injection ("dataplane.install_rule" here,
+  // "switchsim.table.add_entry" inside the table). On failure every
+  // entry installed so far is unwound so the data plane is left exactly
+  // as before the call.
   // Unwind sweeps every physical table, but tables holding none of
   // this tenant's rules are a no-op remove and keep their lookup epoch,
   // so in-flight workers' memoized decisions for other tenants stay
   // valid (flow_cache.h invalidation contract).
-  auto unwind_install = [this, &sfc, &result](const char* where) {
+  auto unwind_install = [this, &sfc](const char* where) {
     for (auto& slot : slots_) slot.table->RemoveTenantEntries(sfc.tenant);
     InvalidatePlan(sfc.tenant);
-    result.placements.clear();
-    result.code = AllocCode::kInstallFault;
-    result.error = std::string("transient rule-install failure (") + where + ")";
+    AllocationResult failed;
+    failed.code = AllocCode::kInstallFault;
+    failed.error = std::string("transient rule-install failure (") + where + ")";
+    return failed;
   };
 
-  for (std::size_t j = 0; j < plan.size(); ++j) {
-    const auto& step = plan[j];
+  std::vector<PhysicalNfSlot*> slots;
+  slots.reserve(sfc.chain.size());
+  for (std::size_t j = 0; j < sfc.chain.size(); ++j) {
+    const NfPlacement& placement = plan.allocation.placements[j];
     const auto& logical = sfc.chain[j];
-    // AssignRecMarks flagged the execution-order-last step of every
-    // non-final pass.
-    const bool rec = step.rec;
+    PhysicalNfSlot* slot = FindSlot(placement.stage, logical.type);
+    SFP_CHECK_MSG(slot != nullptr, "allocation plan names a missing physical NF");
+    slots.push_back(slot);
+    // PlanSfc flagged the execution-order-last NF of every non-final
+    // pass.
+    const bool rec = placement.rec;
 
     for (const auto& rule : logical.rules) {
       const std::string action_name = rec ? rule.action + "_rec" : rule.action;
-      const auto it = step.slot->actions.find(action_name);
-      SFP_CHECK_MSG(it != step.slot->actions.end(), "unknown NF action in rule");
+      const auto it = slot->actions.find(action_name);
+      SFP_CHECK_MSG(it != slot->actions.end(), "unknown NF action in rule");
       std::vector<FieldMatch> matches = {FieldMatch::Exact(sfc.tenant),
                                          FieldMatch::Exact(
-                                             static_cast<std::uint64_t>(step.placement.pass))};
+                                             static_cast<std::uint64_t>(placement.pass))};
       for (const auto& m : rule.matches) matches.push_back(m);
       if (SFP_FAULT("dataplane.install_rule") ||
-          step.slot->table->AddEntry(std::move(matches), it->second, rule.args,
-                                     rule.priority,
-                                     sfc.tenant) == switchsim::kInvalidEntryHandle) {
-        unwind_install(nf::NfFullName(logical.type));
-        return result;
+          slot->table->AddEntry(std::move(matches), it->second, rule.args, rule.priority,
+                                sfc.tenant) == switchsim::kInvalidEntryHandle) {
+        return unwind_install(nf::NfFullName(logical.type));
       }
     }
     // Tenant catch-all: No-Op (or recirculating No-Op) at the lowest
     // priority so configured rules always win.
-    const ActionId catch_all =
-        rec ? step.slot->actions.at("noop_rec") : step.slot->noop;
+    const ActionId catch_all = rec ? slot->actions.at("noop_rec") : slot->noop;
     std::vector<FieldMatch> matches = {FieldMatch::Exact(sfc.tenant),
                                        FieldMatch::Exact(
-                                           static_cast<std::uint64_t>(step.placement.pass))};
-    for (std::size_t f = 0; f < step.slot->nf->KeySpec().size(); ++f) {
+                                           static_cast<std::uint64_t>(placement.pass))};
+    for (std::size_t f = 0; f < slot->nf->KeySpec().size(); ++f) {
       matches.push_back(FieldMatch::Any());
     }
     if (SFP_FAULT("dataplane.install_rule") ||
-        step.slot->table->AddEntry(std::move(matches), catch_all, {}, /*priority=*/-1000,
-                                   sfc.tenant) == switchsim::kInvalidEntryHandle) {
-      unwind_install("catch-all");
-      return result;
+        slot->table->AddEntry(std::move(matches), catch_all, {}, /*priority=*/-1000,
+                              sfc.tenant) == switchsim::kInvalidEntryHandle) {
+      return unwind_install("catch-all");
     }
-    result.placements.push_back(step.placement);
   }
 
-  result.ok = true;
-  result.passes = total_passes;
-  result.sequential_passes = sequential_passes;
+  switchsim::Pipeline::PassPackingStats stats = plan.packing;
+  const bool xt = pipeline_.config().cross_tenant_packing;
   if (xt) {
     // Book the installed placements in the shared ledger (one claim
     // per logical NF) — also for non-co-scheduled installs, so the
     // ledger mirrors the pipeline's whole occupancy and later tenants
     // see every open window.
     std::vector<StageWindowLedger::Claim> claims;
-    claims.reserve(plan.size());
-    for (std::size_t j = 0; j < plan.size(); ++j) {
-      claims.push_back({plan[j].placement.pass, plan[j].placement.stage,
-                        plan[j].slot->table,
+    claims.reserve(slots.size());
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      const NfPlacement& placement = plan.allocation.placements[j];
+      claims.push_back({placement.pass, placement.stage, slots[j]->table,
                         static_cast<std::int64_t>(sfc.chain[j].rules.size()) + 1});
     }
     const auto [opened, joined] = xt_ledger_.Commit(sfc.tenant, std::move(claims));
@@ -543,15 +563,15 @@ AllocationResult DataPlane::AllocateSfc(const Sfc& sfc, std::optional<int> max_p
     stats.xt_windows_joined = joined;
     retained_[sfc.tenant] = sfc;
   }
-  if (dependency_aware) pipeline_.RecordPassPacking(stats);
-  allocations_[sfc.tenant] = result;
+  if (pipeline_.config().nf_parallelism || xt) pipeline_.RecordPassPacking(stats);
+  allocations_[sfc.tenant] = plan.allocation;
   // The tenant's rules just changed under any previously compiled plan
   // (re-admission after departure); the per-packet epoch check would
   // catch it, but invalidating here keeps the serve path fast.
   InvalidatePlan(sfc.tenant);
-  SFP_LOG_DEBUG << "allocated tenant " << sfc.tenant << " over " << total_passes
+  SFP_LOG_DEBUG << "allocated tenant " << sfc.tenant << " over " << plan.allocation.passes
                 << " pass(es)";
-  return result;
+  return plan.allocation;
 }
 
 std::size_t DataPlane::DeallocateSfc(TenantId tenant) {
@@ -569,7 +589,7 @@ std::size_t DataPlane::DeallocateSfc(TenantId tenant) {
   return removed;
 }
 
-std::vector<DataPlane::CompactionCandidate> DataPlane::PlanCompaction() {
+std::vector<DataPlane::CompactionCandidate> DataPlane::PlanCompaction() const {
   std::vector<CompactionCandidate> candidates;
   if (!pipeline_.config().cross_tenant_packing) return candidates;
   const int pass_limit = pipeline_.config().max_passes;

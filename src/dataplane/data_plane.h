@@ -34,6 +34,9 @@ namespace sfp::dataplane {
 struct NfPlacement {
   int stage = 0;
   int pass = 0;
+  /// The NF's rules take the REC action variant: it executes last in a
+  /// non-final pass, so the packet recirculates after it.
+  bool rec = false;
 };
 
 /// Failure class of AllocateSfc, so callers can branch without string
@@ -71,6 +74,20 @@ struct AllocationResult {
   bool transient() const { return code == AllocCode::kInstallFault; }
 };
 
+/// A pure allocation plan (DataPlane::PlanSfc): where each logical NF
+/// of one SFC would land against the current tables, computed without
+/// touching them. Valid for DataPlane::InstallSfc until the next
+/// (de)allocation.
+struct AllocationPlan {
+  /// What AllocateSfc reports for this plan: on success the per-NF
+  /// placements and pass counts, otherwise the deterministic failure
+  /// (kEmptyChain, kAlreadyAllocated, kNoPlacement).
+  AllocationResult allocation;
+  /// Planner tallies, booked into the pipeline's pass-packing counters
+  /// only when the plan is installed.
+  switchsim::Pipeline::PassPackingStats packing;
+};
+
 /// The SFP data plane: a switch pipeline plus the virtualization layer.
 class DataPlane {
  public:
@@ -88,10 +105,25 @@ class DataPlane {
   /// register load-balancer pools; nullptr if absent.
   nf::NetworkFunction* PhysicalNf(int stage, nf::NfType type);
 
-  /// Allocates a tenant SFC onto the physical pipeline. On failure the
-  /// data plane is left unchanged. `max_passes` bounds folding
-  /// (defaults to the switch config's recirculation guard).
-  AllocationResult AllocateSfc(const Sfc& sfc, std::optional<int> max_passes = {});
+  /// Plans a tenant SFC onto the physical pipeline without installing
+  /// anything (the §IV placement: passes, folding, REC marks), so the
+  /// control plane can run admission control on the planned pass count
+  /// before any table mutates. `max_passes` bounds folding (defaults to
+  /// the switch config's recirculation guard).
+  AllocationPlan PlanSfc(const Sfc& sfc, std::optional<int> max_passes = {}) const;
+
+  /// Installs a PlanSfc plan: copies the tenant's rules with the
+  /// (tenant, pass) prefix and books the allocation. A failed plan is
+  /// returned as is. A transient rule-install fault unwinds every entry
+  /// installed so far (kInstallFault), leaving the data plane unchanged
+  /// and the plan still valid for a retry.
+  AllocationResult InstallSfc(const Sfc& sfc, const AllocationPlan& plan);
+
+  /// PlanSfc followed by InstallSfc. On failure the data plane is left
+  /// unchanged.
+  AllocationResult AllocateSfc(const Sfc& sfc, std::optional<int> max_passes = {}) {
+    return InstallSfc(sfc, PlanSfc(sfc, max_passes));
+  }
 
   /// Removes every rule of `tenant` and forgets its allocation.
   /// Returns the number of rules removed.
@@ -211,7 +243,7 @@ class DataPlane {
   /// pass saving first, ties by tenant id, so the §V-E re-provision
   /// driver in SfpSystem::RemoveTenant applies them deterministically.
   /// Empty unless cross_tenant_packing.
-  std::vector<CompactionCandidate> PlanCompaction();
+  std::vector<CompactionCandidate> PlanCompaction() const;
 
   /// Ledger conservation check (empty == consistent, entries describe
   /// violations): ledger tenants == allocated tenants, per-tenant
@@ -241,16 +273,15 @@ class DataPlane {
   /// NF j, at which (stage, pass), and whether its rules carry the REC
   /// variant (execution-order-last step of a non-final pass).
   struct PlanStep {
-    PhysicalNfSlot* slot = nullptr;
+    const PhysicalNfSlot* slot = nullptr;
     NfPlacement placement;
-    bool rec = false;
   };
 
   /// Chain-order §IV planner: each NF lands at the nearest later stage
   /// of its type with spare memory; the chain folds into the next pass
   /// at the pipeline end. Pure (no installs). Returns false when the
   /// chain cannot be placed within `pass_limit` (plan is then invalid).
-  bool PlanSequential(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan);
+  bool PlanSequential(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan) const;
 
   /// Dependency-aware planner (DESIGN.md "Intra-chain NF parallelism"):
   /// partitions the chain into maximal runs of mutually independent
@@ -258,7 +289,7 @@ class DataPlane {
   /// out-of-order but commuting NFs stop forcing recirculations.
   /// `rejects` tallies failed merges by MergeReject. Pure.
   bool PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan,
-                  std::vector<std::uint64_t>& rejects);
+                  std::vector<std::uint64_t>& rejects) const;
 
   /// Cross-tenant co-scheduler (DESIGN.md "Cross-tenant pass
   /// sharing"): schedules successor-carrying NFs exactly like
@@ -271,7 +302,7 @@ class DataPlane {
   /// tenant's own table entries and window claims are discounted, as
   /// if it had departed. Pure.
   bool PlanCoScheduled(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan,
-                       std::optional<TenantId> replan_tenant = {});
+                       std::optional<TenantId> replan_tenant = {}) const;
 
   /// Marks the execution-order-last step of every non-final pass with
   /// the REC flag (stage order, then table order within the stage —

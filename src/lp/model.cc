@@ -32,16 +32,6 @@ RowId Model::AddRow(std::vector<VarId> vars, std::vector<double> coeffs, Sense s
   return static_cast<RowId>(rows_.size() - 1);
 }
 
-void Model::AddRowCoefficient(RowId row, VarId var, double coeff) {
-  SFP_CHECK_GE(row, 0);
-  SFP_CHECK_LT(row, num_rows());
-  SFP_CHECK_GE(var, 0);
-  SFP_CHECK_LT(var, num_vars());
-  Row& r = rows_[static_cast<std::size_t>(row)];
-  r.vars.push_back(var);
-  r.coeffs.push_back(coeff);
-}
-
 void Model::SetVarBounds(VarId var, double lower, double upper) {
   SFP_CHECK_MSG(lower <= upper, "variable with empty domain");
   auto& v = vars_[static_cast<std::size_t>(var)];

@@ -71,12 +71,6 @@ class Model {
   RowId AddRow(std::vector<VarId> vars, std::vector<double> coeffs, Sense sense,
                double rhs, std::string name = {});
 
-  /// Appends one coefficient to an existing row (incremental model
-  /// growth: a new tenant's column touches a handful of capacity rows).
-  /// Callers holding a live `Simplex` mirror the edit via
-  /// `Simplex::AddColumn`/`Simplex::AddRow`.
-  void AddRowCoefficient(RowId row, VarId var, double coeff);
-
   /// Sets the optimization direction (default: maximize).
   void SetMaximize(bool maximize) { maximize_ = maximize; }
   bool maximize() const { return maximize_; }

@@ -82,159 +82,8 @@ void Simplex::SetVarBounds(VarId var, double lower, double upper) {
   SFP_CHECK_GE(var, 0);
   SFP_CHECK_LT(var, num_struct_);
   SFP_CHECK_LE(lower, upper);
-  if (!options_.incremental || fixed_dirty_ || pricing_dirty_) {
-    lower_[var] = lower;
-    upper_[var] = upper;
-    return;
-  }
-  // Keep the fixed-column compression state in sync with the edit.
-  const std::size_t v = static_cast<std::size_t>(var);
-  const bool basic = status_[v] == VStatus::kBasic;
-  const bool was_fixed = Fixed(var);
-  if (!basic && was_fixed) AddFixedContribution(var, x_[v], -1.0);
-  lower_[v] = lower;
-  upper_[v] = upper;
-  if (basic) return;  // ApplyStep files the contribution if it leaves fixed
-  if (Fixed(var)) {
-    status_[v] = VStatus::kAtLower;
-    x_[v] = lower;
-    AddFixedContribution(var, lower, +1.0);
-    if (!was_fixed && in_pricing_list_[v]) ++pricing_dead_;
-  } else if (was_fixed) {
-    if (in_pricing_list_[v]) {
-      --pricing_dead_;
-    } else {
-      // Unfixed after being compacted out of the pricing list: the
-      // list is no longer a superset of the candidates.
-      pricing_dirty_ = true;
-      fixed_dirty_ = true;
-    }
-  }
-}
-
-VarId Simplex::AddColumn(double lower, double upper, double objective,
-                         std::span<const RowId> rows,
-                         std::span<const double> coeffs) {
-  SFP_CHECK_LE(lower, upper);
-  SFP_CHECK_EQ(rows.size(), coeffs.size());
-  const std::int32_t v = num_struct_;
-
-  Column col;
-  {
-    std::vector<std::pair<std::int32_t, double>> entries;
-    entries.reserve(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      SFP_CHECK_GE(rows[i], 0);
-      SFP_CHECK_LT(rows[i], num_rows_);
-      if (coeffs[i] != 0.0) entries.emplace_back(rows[i], coeffs[i]);
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (const auto& [r, c] : entries) {
-      if (!col.rows.empty() && col.rows.back() == r) {
-        col.vals.back() += c;
-      } else {
-        col.rows.push_back(r);
-        col.vals.push_back(c);
-      }
-    }
-  }
-  columns_.push_back(std::move(col));
-
-  // Internal layout is [struct | slacks]: the new column slots in just
-  // before the slacks (O(rows) shifts), and every slack id moves up by
-  // one. The basis *set* is untouched, so the LU factors stay valid.
-  const auto pos = static_cast<std::ptrdiff_t>(v);
-  lower_.insert(lower_.begin() + pos, lower);
-  upper_.insert(upper_.begin() + pos, upper);
-  cost_.insert(cost_.begin() + pos, maximize_ ? -objective : objective);
-  VStatus st = VStatus::kFreeNb;
-  double xv = 0.0;
-  if (IsFinite(lower)) {
-    st = VStatus::kAtLower;
-    xv = lower;
-  } else if (IsFinite(upper)) {
-    st = VStatus::kAtUpper;
-    xv = upper;
-  }
-  status_.insert(status_.begin() + pos, st);
-  x_.insert(x_.begin() + pos, xv);
-  for (std::int32_t& b : basis_) {
-    if (b >= v) ++b;
-  }
-  ++num_struct_;
-  ++num_total_;
-
-  if (options_.incremental) {
-    if (fixed_dirty_ || pricing_dirty_) {
-      in_pricing_list_.push_back(0);  // rebuilt at the next Solve()
-    } else if (Fixed(v)) {
-      AddFixedContribution(v, xv, +1.0);
-      in_pricing_list_.push_back(0);
-    } else {
-      pricing_list_.push_back(v);  // largest id: list stays ascending
-      in_pricing_list_.push_back(1);
-    }
-  }
-  return v;
-}
-
-RowId Simplex::AddRow(Sense sense, double rhs, std::span<const VarId> vars,
-                      std::span<const double> coeffs) {
-  SFP_CHECK_EQ(vars.size(), coeffs.size());
-  const std::int32_t r = num_rows_;
-  rhs_.push_back(rhs);
-  double slack_lo = 0.0;
-  double slack_up = 0.0;
-  switch (sense) {
-    case Sense::kLe:
-      slack_up = kInf;
-      break;
-    case Sense::kGe:
-      slack_lo = -kInf;
-      break;
-    case Sense::kEq:
-      break;
-  }
-  lower_.push_back(slack_lo);
-  upper_.push_back(slack_up);
-  cost_.push_back(0.0);
-  status_.push_back(VStatus::kBasic);
-  x_.push_back(0.0);
-
-  for (std::size_t i = 0; i < vars.size(); ++i) {
-    SFP_CHECK_GE(vars[i], 0);
-    SFP_CHECK_LT(vars[i], num_struct_);
-    if (coeffs[i] == 0.0) continue;
-    Column& col = columns_[static_cast<std::size_t>(vars[i])];
-    if (!col.rows.empty() && col.rows.back() == r) {
-      col.vals.back() += coeffs[i];  // duplicate var in this row
-    } else {
-      col.rows.push_back(r);
-      col.vals.push_back(coeffs[i]);
-    }
-  }
-
-  // The new row's slack enters the basis, which keeps the basis square
-  // and primal statuses coherent but invalidates the factorization.
-  basis_.push_back(num_struct_ + r);
-  ++num_rows_;
-  ++num_total_;
-  if (basis_valid_) needs_refactor_ = true;
-
-  if (options_.incremental) {
-    double activity = 0.0;
-    if (!fixed_dirty_ && !pricing_dirty_) {
-      for (std::size_t i = 0; i < vars.size(); ++i) {
-        const std::size_t v = static_cast<std::size_t>(vars[i]);
-        if (Fixed(vars[i]) && status_[v] != VStatus::kBasic) {
-          activity += coeffs[i] * x_[v];
-        }
-      }
-    }
-    fixed_activity_.push_back(activity);
-  }
-  return r;
+  lower_[var] = lower;
+  upper_[var] = upper;
 }
 
 void Simplex::ResetBasis() { basis_valid_ = false; }
@@ -252,54 +101,24 @@ Simplex::BasisState Simplex::SaveBasis() const {
 }
 
 void Simplex::RestoreBasis(const BasisState& state) {
-  // Unstamped snapshots (num_struct < 0) keep the legacy contract:
-  // exact current shape or cold start. Stamped snapshots may be
-  // *smaller* than this instance (taken before AddColumn/AddRow grew
-  // it); appended variables default to a bound and appended rows'
-  // slacks join the basis.
-  const std::int32_t ns = state.num_struct >= 0 ? state.num_struct : num_struct_;
-  const std::int32_t nr = state.num_rows >= 0 ? state.num_rows : num_rows_;
-  if (ns > num_struct_ || nr > num_rows_ ||
-      state.basis.size() != static_cast<std::size_t>(nr) ||
-      state.status.size() != static_cast<std::size_t>(ns + nr)) {
-    basis_valid_ = false;  // incompatible snapshot: cold start instead
+  // Unstamped snapshots (num_struct < 0) are taken to have this
+  // instance's shape; a snapshot of any other shape cold-starts.
+  const bool shape_ok =
+      (state.num_struct < 0 || state.num_struct == num_struct_) &&
+      (state.num_rows < 0 || state.num_rows == num_rows_) &&
+      state.basis.size() == static_cast<std::size_t>(num_rows_) &&
+      state.status.size() == static_cast<std::size_t>(num_total_);
+  if (!shape_ok) {
+    basis_valid_ = false;
     return;
   }
-  for (std::int32_t v = 0; v < ns; ++v) {
+  for (std::int32_t v = 0; v < num_total_; ++v) {
     status_[static_cast<std::size_t>(v)] =
         static_cast<VStatus>(state.status[static_cast<std::size_t>(v)]);
   }
-  for (std::int32_t v = ns; v < num_struct_; ++v) {
-    if (IsFinite(lower_[static_cast<std::size_t>(v)])) {
-      status_[static_cast<std::size_t>(v)] = VStatus::kAtLower;
-    } else if (IsFinite(upper_[static_cast<std::size_t>(v)])) {
-      status_[static_cast<std::size_t>(v)] = VStatus::kAtUpper;
-    } else {
-      status_[static_cast<std::size_t>(v)] = VStatus::kFreeNb;
-    }
-  }
-  for (std::int32_t r = 0; r < nr; ++r) {
-    status_[static_cast<std::size_t>(num_struct_ + r)] =
-        static_cast<VStatus>(state.status[static_cast<std::size_t>(ns + r)]);
-  }
-  for (std::int32_t r = nr; r < num_rows_; ++r) {
-    status_[static_cast<std::size_t>(num_struct_ + r)] = VStatus::kBasic;
-  }
-  for (std::int32_t p = 0; p < nr; ++p) {
-    const std::int32_t vid = state.basis[static_cast<std::size_t>(p)];
-    basis_[static_cast<std::size_t>(p)] =
-        vid < ns ? vid : num_struct_ + (vid - ns);
-  }
-  for (std::int32_t p = nr; p < num_rows_; ++p) {
-    basis_[static_cast<std::size_t>(p)] = num_struct_ + p;
-  }
+  basis_ = state.basis;
   basis_valid_ = true;
   needs_refactor_ = true;
-  if (options_.incremental) {
-    // Statuses changed wholesale; rebuild the compression state.
-    fixed_dirty_ = true;
-    pricing_dirty_ = true;
-  }
 }
 
 void Simplex::ResetBasisToSlacks() {
@@ -328,55 +147,6 @@ void Simplex::ResetBasisToSlacks() {
   pivots_since_refactor_ = 0;
   basis_valid_ = true;
   needs_refactor_ = false;
-  if (options_.incremental) RecomputeFixedState();
-}
-
-void Simplex::RecomputeFixedState() {
-  fixed_activity_.assign(static_cast<std::size_t>(num_rows_), 0.0);
-  fixed_obj_ = 0.0;
-  pricing_list_.clear();
-  in_pricing_list_.assign(static_cast<std::size_t>(num_struct_), 0);
-  pricing_dead_ = 0;
-  for (std::int32_t v = 0; v < num_struct_; ++v) {
-    if (Fixed(v) && status_[static_cast<std::size_t>(v)] != VStatus::kBasic) {
-      status_[static_cast<std::size_t>(v)] = VStatus::kAtLower;
-      x_[static_cast<std::size_t>(v)] = lower_[static_cast<std::size_t>(v)];
-      AddFixedContribution(v, x_[static_cast<std::size_t>(v)], +1.0);
-    } else {
-      pricing_list_.push_back(v);
-      in_pricing_list_[static_cast<std::size_t>(v)] = 1;
-    }
-  }
-  pricing_dirty_ = false;
-  fixed_dirty_ = false;
-}
-
-void Simplex::RebuildPricingList() { RecomputeFixedState(); }
-
-void Simplex::CompactPricingList() {
-  std::vector<std::int32_t> kept;
-  kept.reserve(pricing_list_.size());
-  for (std::int32_t v : pricing_list_) {
-    // Keep nonfixed vars and fixed *basic* vars (the latter may leave
-    // the basis later and must then be priceable again on unfix).
-    if (!Fixed(v) || status_[static_cast<std::size_t>(v)] == VStatus::kBasic) {
-      kept.push_back(v);
-    } else {
-      in_pricing_list_[static_cast<std::size_t>(v)] = 0;
-    }
-  }
-  pricing_list_ = std::move(kept);
-  pricing_dead_ = 0;
-}
-
-void Simplex::AddFixedContribution(std::int32_t v, double value, double sign) {
-  if (value == 0.0) return;
-  const Column& col = columns_[static_cast<std::size_t>(v)];
-  const double scaled = sign * value;
-  for (std::size_t t = 0; t < col.rows.size(); ++t) {
-    fixed_activity_[static_cast<std::size_t>(col.rows[t])] += col.vals[t] * scaled;
-  }
-  fixed_obj_ += cost_[static_cast<std::size_t>(v)] * scaled;
 }
 
 void Simplex::SnapNonbasicToBounds() {
@@ -422,44 +192,17 @@ void Simplex::SnapNonbasicToBounds() {
         break;
     }
   };
-  if (IncActive()) {
-    // Fixed nonbasic variables were snapped when they became fixed;
-    // only the pricing candidates and the slacks can have moved.
-    for (std::int32_t v : pricing_list_) snap(v);
-    for (std::int32_t v = num_struct_; v < num_total_; ++v) snap(v);
-  } else {
-    for (std::int32_t v = 0; v < num_total_; ++v) snap(v);
-  }
+  for (std::int32_t v = 0; v < num_total_; ++v) snap(v);
 }
 
 void Simplex::ComputeBasicValues() {
   // residual = b - sum over nonbasic columns of A_j * x_j.
-  std::vector<double> residual;
-  if (IncActive()) {
-    residual.resize(static_cast<std::size_t>(num_rows_));
-    for (std::int32_t r = 0; r < num_rows_; ++r) {
-      residual[static_cast<std::size_t>(r)] =
-          rhs_[static_cast<std::size_t>(r)] - fixed_activity_[static_cast<std::size_t>(r)];
-    }
-    for (std::int32_t v : pricing_list_) {
-      if (status_[static_cast<std::size_t>(v)] == VStatus::kBasic || Fixed(v) ||
-          x_[static_cast<std::size_t>(v)] == 0.0) {
-        continue;
-      }
-      const Column& col = columns_[static_cast<std::size_t>(v)];
-      for (std::size_t t = 0; t < col.rows.size(); ++t) {
-        residual[static_cast<std::size_t>(col.rows[t])] -=
-            col.vals[t] * x_[static_cast<std::size_t>(v)];
-      }
-    }
-  } else {
-    residual = rhs_;
-    for (std::int32_t v = 0; v < num_struct_; ++v) {
-      if (status_[v] == VStatus::kBasic || x_[v] == 0.0) continue;
-      const Column& col = columns_[static_cast<std::size_t>(v)];
-      for (std::size_t t = 0; t < col.rows.size(); ++t) {
-        residual[static_cast<std::size_t>(col.rows[t])] -= col.vals[t] * x_[v];
-      }
+  std::vector<double> residual = rhs_;
+  for (std::int32_t v = 0; v < num_struct_; ++v) {
+    if (status_[v] == VStatus::kBasic || x_[v] == 0.0) continue;
+    const Column& col = columns_[static_cast<std::size_t>(v)];
+    for (std::size_t t = 0; t < col.rows.size(); ++t) {
+      residual[static_cast<std::size_t>(col.rows[t])] -= col.vals[t] * x_[v];
     }
   }
   for (std::int32_t r = 0; r < num_rows_; ++r) {
@@ -491,10 +234,6 @@ bool Simplex::Refactorize() {
   const bool ok =
       options_.use_dense_inverse ? RefactorizeDense() : RefactorizeSparse();
   if (ok) pivots_since_refactor_ = 0;
-  // Resync point for the incrementally maintained fixed-column state:
-  // the += / -= bookkeeping accumulates rounding over long churn runs,
-  // so it is rebuilt from scratch on the refactorization cadence.
-  if (ok && IncActive()) RecomputeFixedState();
   return ok;
 }
 
@@ -672,20 +411,8 @@ Simplex::Entering Simplex::PriceEntering(const std::vector<double>& cost,
     }
     return false;
   };
-  if (IncActive()) {
-    // The pricing list is ascending and a superset of the nonfixed
-    // structural candidates, so even Bland's first-eligible order
-    // matches the full scan.
-    for (std::int32_t j : pricing_list_) {
-      if (consider(j)) return best;
-    }
-    for (std::int32_t j = num_struct_; j < num_total_; ++j) {
-      if (consider(j)) return best;
-    }
-  } else {
-    for (std::int32_t j = 0; j < num_total_; ++j) {
-      if (consider(j)) return best;
-    }
+  for (std::int32_t j = 0; j < num_total_; ++j) {
+    if (consider(j)) return best;
   }
   return best;
 }
@@ -800,12 +527,6 @@ void Simplex::ApplyStep(const Entering& e, const std::vector<double>& w,
   x_[static_cast<std::size_t>(leaving)] = r.leaving_at_upper
                                               ? upper_[static_cast<std::size_t>(leaving)]
                                               : lower_[static_cast<std::size_t>(leaving)];
-  if (IncActive() && leaving < num_struct_ && Fixed(leaving)) {
-    // A variable fixed while basic just left the basis: it now counts
-    // toward the compressed fixed activity and is dead for pricing.
-    AddFixedContribution(leaving, x_[static_cast<std::size_t>(leaving)], +1.0);
-    if (in_pricing_list_[static_cast<std::size_t>(leaving)]) ++pricing_dead_;
-  }
   basis_[p] = e.var;
   status_[j] = VStatus::kBasic;
 
@@ -864,25 +585,11 @@ void Simplex::BuildPhase1Cost(std::vector<double>& cost) const {
 }
 
 double Simplex::CurrentObjective() const {
-  if (!IncActive()) {
-    double metric = 0.0;
-    for (std::int32_t v = 0; v < num_total_; ++v) {
-      metric += cost_[static_cast<std::size_t>(v)] * x_[static_cast<std::size_t>(v)];
-    }
-    return metric;
-  }
-  double metric = fixed_obj_;
-  for (std::int32_t v : pricing_list_) {
-    if (status_[static_cast<std::size_t>(v)] == VStatus::kBasic || Fixed(v)) continue;
+  double metric = 0.0;
+  for (std::int32_t v = 0; v < num_total_; ++v) {
     metric += cost_[static_cast<std::size_t>(v)] * x_[static_cast<std::size_t>(v)];
   }
-  for (std::int32_t p = 0; p < num_rows_; ++p) {
-    const std::int32_t var = basis_[p];
-    if (var < num_struct_) {
-      metric += cost_[static_cast<std::size_t>(var)] * x_[static_cast<std::size_t>(var)];
-    }
-  }
-  return metric;  // nonbasic slacks carry zero cost
+  return metric;
 }
 
 SolveStatus Simplex::Iterate(const std::vector<double>& cost, bool phase1) {
@@ -985,12 +692,7 @@ Simplex::DualOutcome Simplex::TryDualWarmStart() {
       repairable = false;
     }
   };
-  if (IncActive()) {
-    for (std::int32_t j : pricing_list_) repair(j);
-    for (std::int32_t j = num_struct_; j < num_total_ && repairable; ++j) repair(j);
-  } else {
-    for (std::int32_t j = 0; j < num_total_ && repairable; ++j) repair(j);
-  }
+  for (std::int32_t j = 0; j < num_total_ && repairable; ++j) repair(j);
   if (!repairable) return DualOutcome::kFallback;
   for (std::int32_t j : flips) {
     const std::size_t sj = static_cast<std::size_t>(j);
@@ -1097,12 +799,7 @@ Simplex::DualOutcome Simplex::TryDualWarmStart() {
         best_d = d;
       }
     };
-    if (IncActive()) {
-      for (std::int32_t j : pricing_list_) consider(j);
-      for (std::int32_t j = num_struct_; j < num_total_; ++j) consider(j);
-    } else {
-      for (std::int32_t j = 0; j < num_total_; ++j) consider(j);
-    }
+    for (std::int32_t j = 0; j < num_total_; ++j) consider(j);
     if (best_j < 0) {
       // No column can move row p back inside its bounds: the row is a
       // primal-infeasibility certificate. The caller confirms via
@@ -1155,21 +852,13 @@ Solution Simplex::Solve() {
   if (!basis_valid_) {
     ResetBasisToSlacks();
   } else if (needs_refactor_) {
-    // A restored snapshot or appended row: factorize it; a singular one
-    // (stale numerics after bound changes) falls back to the slack basis.
+    // A restored snapshot: factorize it; a singular one (stale
+    // numerics after bound changes) falls back to the slack basis.
     if (Refactorize()) {
       needs_refactor_ = false;
     } else {
       ResetBasisToSlacks();
       warm = false;
-    }
-  }
-  if (options_.incremental) {
-    if (fixed_dirty_ || pricing_dirty_) {
-      RecomputeFixedState();
-    } else if (pricing_dead_ * 2 >
-               static_cast<std::int64_t>(pricing_list_.size())) {
-      CompactPricingList();
     }
   }
   SnapNonbasicToBounds();
@@ -1195,26 +884,10 @@ Solution Simplex::Solve() {
 
   solution.status = status;
   if (status == SolveStatus::kOptimal || status == SolveStatus::kIterationLimit) {
-    if (options_.report_values) {
-      solution.values.assign(x_.begin(), x_.begin() + num_struct_);
-    }
+    solution.values.assign(x_.begin(), x_.begin() + num_struct_);
     double obj = 0.0;
-    if (IncActive()) {
-      obj = fixed_obj_;
-      for (std::int32_t v : pricing_list_) {
-        if (status_[static_cast<std::size_t>(v)] == VStatus::kBasic || Fixed(v)) continue;
-        obj += cost_[static_cast<std::size_t>(v)] * x_[static_cast<std::size_t>(v)];
-      }
-      for (std::int32_t p = 0; p < num_rows_; ++p) {
-        const std::int32_t var = basis_[p];
-        if (var < num_struct_) {
-          obj += cost_[static_cast<std::size_t>(var)] * x_[static_cast<std::size_t>(var)];
-        }
-      }
-    } else {
-      for (std::int32_t v = 0; v < num_struct_; ++v) {
-        obj += cost_[static_cast<std::size_t>(v)] * x_[static_cast<std::size_t>(v)];
-      }
+    for (std::int32_t v = 0; v < num_struct_; ++v) {
+      obj += cost_[static_cast<std::size_t>(v)] * x_[static_cast<std::size_t>(v)];
     }
     solution.objective = maximize_ ? -obj : obj;
   }

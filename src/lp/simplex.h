@@ -1,10 +1,9 @@
 // Bounded-variable two-phase revised simplex with a dual-simplex
-// warm-restart path for incremental re-solves.
+// warm-restart path for re-solves after bound edits.
 //
 // Solves  min/max c'x  s.t.  rows (<=, >=, ==),  l <= x <= u.
 //
-// Implementation notes (see DESIGN.md "Solver internals" and
-// "Incremental admission"):
+// Implementation notes (see DESIGN.md "Solver internals"):
 //  * every row gets a slack variable whose bounds encode the row sense,
 //    so the working problem is Ax = b with box-constrained x,
 //  * the basis is kept as a sparse LU factorization (Markowitz-style
@@ -26,35 +25,24 @@
 // basis is reused (phase 1 repairs any resulting infeasibility).
 // SaveBasis()/RestoreBasis() snapshot and transplant a basis across
 // Simplex instances bound to the same Model — the parallel tree search
-// warm-starts each node LP from its parent's snapshot this way. A
-// snapshot taken before the model grew (AddColumn/AddRow) remaps onto
-// the larger instance: appended variables start nonbasic at a bound and
-// appended rows' slacks start basic.
+// warm-starts each node LP from its parent's snapshot this way.
 //
-// Incremental re-solves (SimplexOptions::warm_dual): when the previous
+// Dual warm restarts (SimplexOptions::warm_dual): when the previous
 // optimal basis is still dual feasible — the common case after a bound
-// edit or a column append, i.e. a tenant arrival/departure in SFP's
-// admission model — Solve() repairs primal feasibility with dual
-// simplex pivots from that basis instead of re-running phase 1 from
-// slacks, so the work is proportional to the perturbation rather than
-// the model. The sparse-LU factors survive bound edits and column
-// appends unchanged (the basis set is untouched) and are only rebuilt
-// after row appends, RestoreBasis transplants, or the usual
+// edit, e.g. a branching bound in branch & bound — Solve() repairs
+// primal feasibility with dual simplex pivots from that basis instead
+// of re-running phase 1 from slacks, so the work is proportional to
+// the perturbation rather than the model. The sparse-LU factors
+// survive bound edits unchanged (the basis set is untouched) and are
+// only rebuilt after RestoreBasis transplants or on the usual
 // refactorization interval. Any anomaly (dual infeasibility that a
 // bound flip cannot repair, a pivot budget blowout, a singular basis)
 // degrades to the composite phase 1 — the dual path changes cost,
-// never the answer.
-//
-// SimplexOptions::incremental additionally compresses fixed columns
-// (lower == upper) out of the per-iteration scans: pricing walks a
-// maintained candidate list and the basic-value residual reuses a
-// running "fixed activity" vector, so a million committed admission
-// columns cost nothing per re-solve. Both flags default off; the
-// defaults are bit-identical to the historical solver.
+// never the answer. Off by default; the default is bit-identical to
+// the historical solver.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "lp/basis_lu.h"
@@ -81,25 +69,13 @@ struct SimplexOptions {
   /// Warm re-solves try a dual-simplex repair from the previous basis
   /// before falling back to composite phase 1 (see header comment).
   bool warm_dual = false;
-  /// Compress fixed columns out of pricing and residual scans so a
-  /// re-solve costs O(perturbation), not O(model). Changes floating-
-  /// point summation order, so it is opt-in; off is bit-identical to
-  /// the historical solver.
-  bool incremental = false;
-  /// Copy primal values into Solution::values. Incremental callers
-  /// that read single variables via Value() turn this off to avoid an
-  /// O(n) copy per re-solve.
-  bool report_values = true;
   /// Dual-phase pivot budget before degrading to phase 1 (0 = auto:
   /// max(200, 4 * rows)).
   std::int64_t max_dual_iterations = 0;
 };
 
 /// Revised simplex engine bound to one Model snapshot. Variable bounds
-/// may change via SetVarBounds between solves; the model may *grow*
-/// between solves when the caller mirrors its Model::AddVar /
-/// Model::AddRow / Model::AddRowCoefficient edits through AddColumn /
-/// AddRow (appends only — nothing may be removed or reordered).
+/// may change via SetVarBounds between solves.
 class Simplex {
  public:
   struct Stats {
@@ -121,14 +97,12 @@ class Simplex {
   /// Opaque basis snapshot: which variable sits in each basis position
   /// plus every variable's nonbasic status, stamped with the model
   /// shape it was taken from. Valid across Simplex instances built
-  /// from the same Model, and across *append-only* growth: restoring a
-  /// snapshot into a larger instance remaps old slack ids and defaults
-  /// the appended variables/rows (new vars nonbasic, new slacks basic).
+  /// from the same Model.
   struct BasisState {
     std::vector<std::int32_t> basis;
     std::vector<std::uint8_t> status;
-    /// Shape at SaveBasis() time; -1 (legacy/aggregate-built snapshots)
-    /// means "same shape as the restoring instance".
+    /// Shape at SaveBasis() time; -1 (aggregate-built snapshots) means
+    /// "same shape as the restoring instance".
     std::int32_t num_struct = -1;
     std::int32_t num_rows = -1;
   };
@@ -137,20 +111,6 @@ class Simplex {
 
   /// Updates a structural variable's bounds (warm-start friendly).
   void SetVarBounds(VarId var, double lower, double upper);
-
-  /// Appends a structural variable (mirror of Model::AddVar plus its
-  /// Model::AddRowCoefficient entries). The current basis — and the
-  /// sparse-LU factors — stay valid: the new column starts nonbasic at
-  /// a bound. Returns the new variable's id.
-  VarId AddColumn(double lower, double upper, double objective,
-                  std::span<const RowId> rows, std::span<const double> coeffs);
-
-  /// Appends a constraint row (mirror of Model::AddRow over existing
-  /// variables). The new row's slack enters the basis, which keeps the
-  /// basis valid but forces one refactorization on the next Solve().
-  /// Returns the new row's id.
-  RowId AddRow(Sense sense, double rhs, std::span<const VarId> vars,
-               std::span<const double> coeffs);
 
   /// Solves from the current basis (slack basis on first call).
   Solution Solve();
@@ -161,19 +121,15 @@ class Simplex {
   /// Snapshots the current basis (meaningful after a Solve()).
   BasisState SaveBasis() const;
   /// Adopts a snapshot from a previous Solve() — possibly of another
-  /// Simplex instance on the same Model, possibly taken before this
-  /// instance grew (see BasisState). The factorization is rebuilt on
-  /// the next Solve(); a numerically singular snapshot falls back to
-  /// the slack basis.
+  /// Simplex instance on the same Model. The factorization is rebuilt
+  /// on the next Solve(); a snapshot of another shape or a numerically
+  /// singular one falls back to the slack basis.
   void RestoreBasis(const BasisState& state);
 
   const Stats& stats() const { return stats_; }
 
   std::int32_t num_struct_vars() const { return num_struct_; }
   std::int32_t num_rows() const { return num_rows_; }
-
-  /// Primal value of a structural variable after a feasible Solve().
-  double Value(VarId var) const { return x_[static_cast<std::size_t>(var)]; }
 
  private:
   enum class VStatus : std::uint8_t { kBasic, kAtLower, kAtUpper, kFreeNb };
@@ -231,7 +187,7 @@ class Simplex {
   // Dual-simplex repair from the current (dual-feasible) basis: picks
   // the most infeasible basic variable, prices its Btran row over the
   // nonbasic candidates, and pivots by the min dual ratio until primal
-  // feasible. See DESIGN.md "Incremental admission" for the rules.
+  // feasible. See DESIGN.md "Dual warm restarts" for the rules.
   DualOutcome TryDualWarmStart();
 
   double TotalInfeasibility() const;
@@ -243,21 +199,6 @@ class Simplex {
   bool RefactorizeDense();
   // Sparse LU rebuild of lu_ from the current basis.
   bool RefactorizeSparse();
-
-  // --- incremental bookkeeping (options_.incremental) ----------------
-  bool Fixed(std::int32_t j) const {
-    return upper_[static_cast<std::size_t>(j)] - lower_[static_cast<std::size_t>(j)] <= 0.0;
-  }
-  /// True when the compressed pricing/residual state may be used.
-  bool IncActive() const {
-    return options_.incremental && !fixed_dirty_ && !pricing_dirty_;
-  }
-  // Rebuilds pricing_list_ / fixed_activity_ / fixed_obj_ from scratch.
-  void RecomputeFixedState();
-  void RebuildPricingList();
-  void CompactPricingList();
-  // fixed_activity_ += sign * A_v * value for struct var v.
-  void AddFixedContribution(std::int32_t v, double value, double sign);
 
   // --- data ----------------------------------------------------------
   SimplexOptions options_;
@@ -276,8 +217,7 @@ class Simplex {
   std::vector<double> binv_;          // dense num_rows_^2, row-major (dense path)
   BasisLu lu_;                        // sparse path
   bool basis_valid_ = false;
-  /// A restored snapshot or appended row needs a fresh factorization
-  /// before use.
+  /// A restored snapshot needs a fresh factorization before use.
   bool needs_refactor_ = false;
   int pivots_since_refactor_ = 0;
   /// Bumped whenever the basis is reset to slacks, so the dual repair
@@ -286,22 +226,6 @@ class Simplex {
   /// Snapshot of stats_.iterations at Solve() entry, so the iteration
   /// limit applies per solve rather than across warm restarts.
   std::int64_t iterations_at_solve_start_ = 0;
-
-  // Incremental (fixed-column compression) state. Invariants while
-  // options_.incremental and !fixed_dirty_:
-  //  * pricing_list_ is an ascending superset of the nonfixed
-  //    structural variables (fixed tombstones are skipped at use);
-  //  * in_pricing_list_[v] says whether v is still in the list —
-  //    unfixing a compacted-away variable forces a rebuild;
-  //  * fixed_activity_[r] == sum over fixed *nonbasic* struct vars of
-  //    A_{rv} * x_v, and fixed_obj_ the matching cost_'x share.
-  std::vector<std::int32_t> pricing_list_;
-  std::vector<std::uint8_t> in_pricing_list_;
-  std::int64_t pricing_dead_ = 0;
-  bool pricing_dirty_ = false;
-  std::vector<double> fixed_activity_;
-  double fixed_obj_ = 0.0;
-  bool fixed_dirty_ = true;
 
   Stats stats_;
 };

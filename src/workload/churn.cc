@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "common/check.h"
 
@@ -56,14 +57,14 @@ std::vector<ChurnEvent> GenerateChurnTrace(const ChurnOptions& options, Rng& rng
     ChurnEvent arrive;
     arrive.time = clock;
     arrive.kind = ChurnEvent::Kind::kArrive;
-    arrive.tenant = static_cast<controlplane::IncrementalAdmissionLp::TenantKey>(t);
+    arrive.tenant = static_cast<controlplane::TenantKey>(t);
     arrive.footprint = SyntheticFootprint(options, rng);
     events.push_back(std::move(arrive));
 
     ChurnEvent depart;
     depart.time = clock + rng.Pareto(options.lifetime_pareto_shape, lifetime_scale);
     depart.kind = ChurnEvent::Kind::kDepart;
-    depart.tenant = static_cast<controlplane::IncrementalAdmissionLp::TenantKey>(t);
+    depart.tenant = static_cast<controlplane::TenantKey>(t);
     events.push_back(std::move(depart));
   }
   const double horizon = clock;
@@ -82,14 +83,35 @@ std::vector<ChurnEvent> GenerateChurnTrace(const ChurnOptions& options, Rng& rng
   return events;
 }
 
-controlplane::AdmissionLpOptions ChurnLpOptions(const ChurnOptions& options,
-                                                double stage_entry_capacity,
-                                                double backplane_gbps) {
-  controlplane::AdmissionLpOptions lp;
-  lp.stage_capacity.assign(static_cast<std::size_t>(options.num_stages),
-                           stage_entry_capacity);
-  lp.backplane_gbps = backplane_gbps;
-  return lp;
+controlplane::AdmissionCapacity CapacityAtMidpoint(const std::vector<ChurnEvent>& trace,
+                                                   const ChurnOptions& options,
+                                                   double scale) {
+  std::vector<double> stage(static_cast<std::size_t>(options.num_stages), 0.0);
+  double backplane = 0.0;
+  std::unordered_map<controlplane::TenantKey, const controlplane::TenantFootprint*> live;
+  std::int64_t arrivals_seen = 0;
+  const std::int64_t midpoint = options.num_arrivals / 2;
+  for (const auto& event : trace) {
+    if (event.kind == ChurnEvent::Kind::kArrive) {
+      for (const auto& [s, entries] : event.footprint.stage_entries) {
+        stage[static_cast<std::size_t>(s)] += entries;
+      }
+      backplane += event.footprint.BackplaneCharge();
+      live.emplace(event.tenant, &event.footprint);
+      if (++arrivals_seen == midpoint) break;
+    } else if (const auto it = live.find(event.tenant); it != live.end()) {
+      for (const auto& [s, entries] : it->second->stage_entries) {
+        stage[static_cast<std::size_t>(s)] -= entries;
+      }
+      backplane -= it->second->BackplaneCharge();
+      live.erase(it);
+    }
+  }
+  controlplane::AdmissionCapacity capacity;
+  capacity.backplane_gbps = backplane * scale;
+  capacity.stage_entries.reserve(stage.size());
+  for (const double demand : stage) capacity.stage_entries.push_back(demand * scale);
+  return capacity;
 }
 
 }  // namespace sfp::workload

@@ -15,14 +15,15 @@
 //
 // The trace is the shared input of bench/ext3_admission_churn, the
 // AdmissionChurnTest differential suite and `sfpctl churn`: all three
-// replay the identical event stream for a given (options, seed).
+// replay the identical event stream for a given (options, seed) through
+// a controlplane::AdmissionLedger sized by CapacityAtMidpoint.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
-#include "controlplane/admission_lp.h"
+#include "controlplane/admission_ledger.h"
 
 namespace sfp::workload {
 
@@ -59,7 +60,7 @@ struct ChurnEvent {
   enum class Kind { kArrive, kDepart };
   double time = 0.0;
   Kind kind = Kind::kArrive;
-  controlplane::IncrementalAdmissionLp::TenantKey tenant = 0;
+  controlplane::TenantKey tenant = 0;
   controlplane::TenantFootprint footprint;
 };
 
@@ -70,10 +71,15 @@ controlplane::TenantFootprint SyntheticFootprint(const ChurnOptions& options, Rn
 /// the arrival index (0, 1, ...); every departure follows its arrival.
 std::vector<ChurnEvent> GenerateChurnTrace(const ChurnOptions& options, Rng& rng);
 
-/// The admission LP sized for `options`: stage rows at
-/// `stage_entry_capacity` entries each plus an eq. 26 backplane row.
-controlplane::AdmissionLpOptions ChurnLpOptions(const ChurnOptions& options,
-                                                double stage_entry_capacity,
-                                                double backplane_gbps);
+/// Ledger row capacities calibrated from a trace: the live demand per
+/// stage row and on the eq. 26 backplane at the midpoint arrival
+/// (assuming every arrival admits), scaled by `scale`. Anchoring to
+/// realized demand instead of the analytic steady state makes scale
+/// >= 1 run the second half of the trace at capacity and scale < 1 force
+/// a reject-heavy mix — the heavy-tailed lifetimes make the analytic
+/// ramp converge too slowly to saturate short traces.
+controlplane::AdmissionCapacity CapacityAtMidpoint(const std::vector<ChurnEvent>& trace,
+                                                   const ChurnOptions& options,
+                                                   double scale);
 
 }  // namespace sfp::workload

@@ -1,18 +1,19 @@
-// IncrementalAdmissionLp decision equivalence and SfpSystem
-// integration under Pareto-lifetime churn (workload/churn.h): the
-// warm dual-simplex path must agree with the from-scratch cold oracle
-// on every admit/reject, release capacity on departure, survive
-// dead-column compaction, and — at the system level — match the
-// legacy eq. 26 sum-over-admissions check decision for decision.
+// AdmissionLedger decision equivalence and SfpSystem integration under
+// Pareto-lifetime churn (workload/churn.h): the ledger's running sums
+// must agree with the closed form recomputed from scratch on every
+// admit/reject, release capacity on departure, and — at the system
+// level — match the legacy floating-point eq. 26 sum over admissions
+// decision for decision.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <map>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "controlplane/admission_lp.h"
+#include "controlplane/admission_ledger.h"
 #include "core/sfp_system.h"
 #include "nf/firewall.h"
 #include "workload/churn.h"
@@ -20,32 +21,36 @@
 namespace sfp {
 namespace {
 
-using controlplane::AdmissionDecision;
-using controlplane::AdmissionLpOptions;
-using controlplane::IncrementalAdmissionLp;
+using controlplane::AdmissionCapacity;
+using controlplane::AdmissionLedger;
 using controlplane::TenantFootprint;
 
-/// Replays a trace against `lp`, asserting every decision against the
-/// cold oracle; admit/reject tallies land in the out-params (gtest
-/// ASSERTs require a void-returning helper).
-void ReplayAgainstColdOracle(IncrementalAdmissionLp& lp,
+/// Replays a trace through a ledger, asserting every decision against
+/// the closed form recomputed from scratch over the tenants the ledger
+/// admitted; admit/reject tallies land in the out-params (gtest ASSERTs
+/// require a void-returning helper).
+void ReplayAgainstColdOracle(const AdmissionCapacity& capacity,
                              const std::vector<workload::ChurnEvent>& trace,
                              int* admitted_out = nullptr, int* rejected_out = nullptr) {
+  AdmissionLedger ledger(capacity);
+  std::unordered_map<controlplane::TenantKey, const TenantFootprint*> live;
   int admitted = 0, rejected = 0;
   for (const auto& event : trace) {
     if (event.kind == workload::ChurnEvent::Kind::kDepart) {
-      lp.Remove(event.tenant);
+      ASSERT_EQ(ledger.Remove(event.tenant), live.erase(event.tenant) == 1)
+          << "tenant " << event.tenant << " departure disagrees";
       continue;
     }
-    const AdmissionDecision cold = lp.ColdReference(event.tenant, event.footprint);
-    const AdmissionDecision live = lp.TryAdmit(event.tenant, event.footprint);
-    ASSERT_EQ(live.admitted, cold.admitted)
-        << "tenant " << event.tenant << " warm/cold decision flip";
-    const double tol = 1e-6 * std::max(1.0, std::abs(cold.objective));
-    EXPECT_NEAR(live.objective, cold.objective, tol);
-    EXPECT_NEAR(live.candidate_value, cold.candidate_value, 1e-6);
-    (live.admitted ? admitted : rejected)++;
+    std::vector<const TenantFootprint*> live_set;
+    for (const auto& [tenant, footprint] : live) live_set.push_back(footprint);
+    const bool oracle = controlplane::ClosedFormFits(capacity, live_set, event.footprint);
+    const bool booked = ledger.TryAdmit(event.tenant, event.footprint);
+    ASSERT_EQ(booked, oracle) << "tenant " << event.tenant
+                              << " ledger/closed-form decision flip";
+    if (booked) live.emplace(event.tenant, &event.footprint);
+    (booked ? admitted : rejected)++;
   }
+  ASSERT_EQ(ledger.size(), live.size());
   if (admitted_out) *admitted_out = admitted;
   if (rejected_out) *rejected_out = rejected;
 }
@@ -59,91 +64,35 @@ workload::ChurnOptions SmallChurn(std::int64_t population, std::int64_t arrivals
 }
 
 TEST(AdmissionChurnTest, DecisionsMatchColdReferenceUnderChurn) {
-  // Tight capacity (~60% of the analytic steady demand) forces a mixed
+  // Tight capacity (60% of the midpoint demand) forces a mixed
   // admit/reject stream; every single decision must match the oracle.
   workload::ChurnOptions churn = SmallChurn(32, 160);
   Rng rng(1);
   const auto trace = workload::GenerateChurnTrace(churn, rng);
-  const double stage_cap = 32.0 * 5.0 * 1100.0 / 4.0 * 0.6;
-  IncrementalAdmissionLp lp(workload::ChurnLpOptions(churn, stage_cap, 32.0 * 9.6 * 0.6));
   int admitted = 0, rejected = 0;
-  ReplayAgainstColdOracle(lp, trace, &admitted, &rejected);
+  ReplayAgainstColdOracle(workload::CapacityAtMidpoint(trace, churn, 0.6), trace, &admitted,
+                          &rejected);
   if (HasFatalFailure()) return;
   EXPECT_GT(admitted, 0);
   EXPECT_GT(rejected, 0) << "capacity never bound; differential only saw admits";
 }
 
-TEST(AdmissionChurnTest, WarmHitRateUnderSteadyChurn) {
-  workload::ChurnOptions churn = SmallChurn(64, 640);
-  Rng rng(2);
-  const auto trace = workload::GenerateChurnTrace(churn, rng);
-  const double stage_cap = 64.0 * 5.0 * 1100.0 / 4.0 * 0.7;
-  IncrementalAdmissionLp lp(workload::ChurnLpOptions(churn, stage_cap, 64.0 * 9.6 * 0.7));
-  for (const auto& event : trace) {
-    if (event.kind == workload::ChurnEvent::Kind::kDepart) {
-      lp.Remove(event.tenant);
-    } else {
-      lp.TryAdmit(event.tenant, event.footprint);
-    }
-  }
-  const auto& counters = lp.counters();
-  EXPECT_EQ(counters.solves, 640);
-  ASSERT_GT(counters.warm_attempts, 0);
-  const double hit = static_cast<double>(counters.warm_successes) /
-                     static_cast<double>(counters.warm_attempts);
-  EXPECT_GE(hit, 0.9) << "steady churn must ride the dual warm path";
-  // O(perturbation): a handful of pivots per decision, not O(tenants).
-  EXPECT_LT(counters.total_iterations, 20 * counters.solves);
-}
-
 TEST(AdmissionChurnTest, RemoveReleasesCapacityForReadmission) {
-  AdmissionLpOptions options;
-  options.backplane_gbps = 10.0;
-  IncrementalAdmissionLp lp(options);
+  AdmissionCapacity capacity;
+  capacity.backplane_gbps = 10.0;
+  AdmissionLedger ledger(capacity);
 
   TenantFootprint fp;
   fp.bandwidth_gbps = 8.0;
   fp.passes = 1;
-  EXPECT_TRUE(lp.TryAdmit(1, fp).admitted);
-  EXPECT_FALSE(lp.TryAdmit(2, fp).admitted);  // 8 + 8 > 10
-  EXPECT_TRUE(lp.Remove(1));
-  EXPECT_FALSE(lp.Remove(1));  // already gone
-  EXPECT_TRUE(lp.TryAdmit(3, fp).admitted);   // capacity released
-  EXPECT_TRUE(lp.Contains(3));
-  EXPECT_FALSE(lp.Contains(1));
-  EXPECT_EQ(lp.num_admitted(), 1u);
-}
-
-TEST(AdmissionChurnTest, CompactionPreservesDecisionsAndRewarms) {
-  // rebuild_slack = 2 forces dead-column compactions constantly; the
-  // rebuilt LP must keep answering like the oracle (which only ever
-  // sees live columns).
-  workload::ChurnOptions churn = SmallChurn(16, 120);
-  churn.mean_lifetime = 20.0;  // fast churn: lots of departures
-  Rng rng(3);
-  const auto trace = workload::GenerateChurnTrace(churn, rng);
-  AdmissionLpOptions options =
-      workload::ChurnLpOptions(churn, 16.0 * 5.0 * 1100.0 / 4.0 * 0.7, 16.0 * 9.6 * 0.7);
-  options.rebuild_slack = 2;
-  IncrementalAdmissionLp lp(options);
-  ReplayAgainstColdOracle(lp, trace);
-  if (HasFatalFailure()) return;
-  EXPECT_GT(lp.counters().rebuilds, 0) << "rebuild_slack=2 never compacted";
-}
-
-TEST(AdmissionChurnTest, ColdModeAnswersIdenticallyWithoutWarmCredit) {
-  // warm=false is the A/B baseline: same decisions, no warm counters.
-  workload::ChurnOptions churn = SmallChurn(24, 96);
-  Rng rng(4);
-  const auto trace = workload::GenerateChurnTrace(churn, rng);
-  AdmissionLpOptions options =
-      workload::ChurnLpOptions(churn, 24.0 * 5.0 * 1100.0 / 4.0 * 0.7, 24.0 * 9.6 * 0.7);
-  options.warm = false;
-  IncrementalAdmissionLp lp(options);
-  ReplayAgainstColdOracle(lp, trace);
-  if (HasFatalFailure()) return;
-  EXPECT_EQ(lp.counters().warm_attempts, 0);
-  EXPECT_EQ(lp.counters().warm_successes, 0);
+  EXPECT_TRUE(ledger.TryAdmit(1, fp));
+  EXPECT_FALSE(ledger.TryAdmit(2, fp));  // 8 + 8 > 10
+  EXPECT_TRUE(ledger.Remove(1));
+  EXPECT_FALSE(ledger.Remove(1));  // already gone
+  EXPECT_TRUE(ledger.TryAdmit(3, fp));   // capacity released
+  EXPECT_TRUE(ledger.Contains(3));
+  EXPECT_FALSE(ledger.Contains(1));
+  EXPECT_EQ(ledger.size(), 1u);
 }
 
 // --- SfpSystem integration ------------------------------------------
@@ -176,70 +125,68 @@ dataplane::Sfc FwSfc(dataplane::TenantId tenant, double bandwidth_gbps) {
   return sfc;
 }
 
-TEST(AdmissionChurnTest, SystemLpMatchesLegacySumDecisionForDecision) {
-  core::SfpSystem legacy(TestSwitch(100.0));
-  core::SfpSystem lp(TestSwitch(100.0));
-  legacy.ProvisionPhysical({{nf::NfType::kFirewall}});
-  lp.ProvisionPhysical({{nf::NfType::kFirewall}});
-  lp.EnableIncrementalAdmission();
-  ASSERT_TRUE(lp.incremental_admission_enabled());
-  ASSERT_FALSE(legacy.incremental_admission_enabled());
+TEST(AdmissionChurnTest, SystemLedgerMatchesLegacySumDecisionForDecision) {
+  // Reference model: the floating-point eq. 26 check the ledger
+  // replaced — re-sum passes x T over every admitted tenant and accept
+  // iff used + charge fits the backplane within 1e-9 Gbps.
+  constexpr double kBackplane = 100.0;
+  core::SfpSystem system(TestSwitch(kBackplane));
+  system.ProvisionPhysical({{nf::NfType::kFirewall}});
+  std::map<dataplane::TenantId, double> legacy;  // tenant -> charge (1 pass)
 
   Rng rng(9);
   for (int step = 0; step < 60; ++step) {
     const auto tenant = static_cast<dataplane::TenantId>(1 + rng.UniformInt(0, 11));
     if (rng.Bernoulli(0.35)) {
-      EXPECT_EQ(legacy.RemoveTenant(tenant), lp.RemoveTenant(tenant)) << "step " << step;
+      EXPECT_EQ(system.RemoveTenant(tenant), legacy.erase(tenant) == 1) << "step " << step;
       continue;
     }
-    const double bw = static_cast<double>(rng.UniformInt(0, 4)) * 10.0;  // 0 exercises Commit
-    const auto a = legacy.AdmitTenant(FwSfc(tenant, bw));
-    const auto b = lp.AdmitTenant(FwSfc(tenant, bw));
-    EXPECT_EQ(a.admitted, b.admitted) << "step " << step << " bw " << bw;
-    EXPECT_EQ(a.code, b.code) << "step " << step;
+    const double bw = static_cast<double>(rng.UniformInt(0, 4)) * 10.0;  // 0: zero charge
+    const auto result = system.AdmitTenant(FwSfc(tenant, bw));
+    if (legacy.contains(tenant)) {
+      EXPECT_EQ(result.code, core::AdmitCode::kAlreadyAdmitted) << "step " << step;
+      continue;
+    }
+    double used = 0.0;
+    for (const auto& [t, charge] : legacy) used += charge;
+    const bool accepted = used + bw <= kBackplane + 1e-9;
+    EXPECT_EQ(result.admitted, accepted) << "step " << step << " bw " << bw;
+    EXPECT_EQ(result.code,
+              accepted ? core::AdmitCode::kOk : core::AdmitCode::kBackplaneExceeded)
+        << "step " << step;
+    if (accepted) legacy[tenant] = bw;
   }
-  EXPECT_EQ(legacy.Stats().tenants, lp.Stats().tenants);
-  EXPECT_NEAR(legacy.Stats().backplane_gbps, lp.Stats().backplane_gbps, 1e-9);
+  double used = 0.0;
+  for (const auto& [t, charge] : legacy) used += charge;
+  EXPECT_EQ(system.Stats().tenants, static_cast<int>(legacy.size()));
+  EXPECT_NEAR(system.Stats().backplane_gbps, used, 1e-9);
 }
 
-TEST(AdmissionChurnTest, SystemSeedsExistingTenantsWhenEnabledMidFlight) {
-  core::SfpSystem system(TestSwitch(50.0));
+TEST(AdmissionChurnTest, SystemTimesEveryAdmitOutcome) {
+  // Admitted, already-admitted, allocation-failed and backplane-
+  // rejected calls are all timed.
+  core::SfpSystem system(TestSwitch(100.0));
   system.ProvisionPhysical({{nf::NfType::kFirewall}});
-  ASSERT_TRUE(system.AdmitTenant(FwSfc(1, 30.0)).admitted);
-  system.EnableIncrementalAdmission();
-  // The seeded commitment must count: a second 30 Gbps tenant busts 50.
-  EXPECT_FALSE(system.AdmitTenant(FwSfc(2, 30.0)).admitted);
-  EXPECT_TRUE(system.RemoveTenant(1));
-  EXPECT_TRUE(system.AdmitTenant(FwSfc(2, 30.0)).admitted);
-}
-
-TEST(AdmissionChurnTest, SystemExportsWarmAndLatencyMetricsOnlyWhenEnabled) {
-  core::SfpSystem legacy(TestSwitch(100.0));
-  legacy.ProvisionPhysical({{nf::NfType::kFirewall}});
-  ASSERT_TRUE(legacy.AdmitTenant(FwSfc(1, 10.0)).admitted);
-  common::metrics::Registry legacy_registry;
-  legacy.ExportMetrics(legacy_registry);
-  for (const auto& counter : legacy_registry.Counters()) {
-    EXPECT_FALSE(counter.name.starts_with("solver.warm."))
-        << counter.name << " leaked into the legacy counter set";
-    EXPECT_FALSE(counter.name.starts_with("system.admit.latency."))
-        << counter.name << " leaked into the legacy counter set";
-  }
-
-  core::SfpSystem warm(TestSwitch(100.0));
-  warm.ProvisionPhysical({{nf::NfType::kFirewall}});
-  warm.EnableIncrementalAdmission();
-  ASSERT_TRUE(warm.AdmitTenant(FwSfc(1, 10.0)).admitted);
-  ASSERT_FALSE(warm.AdmitTenant(FwSfc(2, 200.0)).admitted);
+  ASSERT_TRUE(system.AdmitTenant(FwSfc(1, 10.0)).admitted);
+  ASSERT_EQ(system.AdmitTenant(FwSfc(1, 10.0)).code, core::AdmitCode::kAlreadyAdmitted);
+  dataplane::Sfc empty = FwSfc(2, 10.0);
+  empty.chain.clear();
+  ASSERT_EQ(system.AdmitTenant(empty).code, core::AdmitCode::kAllocationFailed);
+  ASSERT_EQ(system.AdmitTenant(FwSfc(3, 200.0)).code, core::AdmitCode::kBackplaneExceeded);
   common::metrics::Registry registry;
-  warm.ExportMetrics(registry);
-  EXPECT_EQ(registry.GetCounter("solver.warm.solves").Value(), 2u);
-  EXPECT_EQ(registry.GetCounter("solver.warm.admitted").Value(), 1u);
-  EXPECT_EQ(registry.GetCounter("solver.warm.rejected").Value(), 1u);
-  EXPECT_EQ(registry.GetCounter("system.admit.latency.count").Value(), 2u);
-  EXPECT_GT(registry.GetCounter("system.admit.latency.total_ns").Value(), 0u);
-  EXPECT_GE(registry.GetCounter("system.admit.latency.max_ns").Value(),
-            registry.GetCounter("system.admit.latency.total_ns").Value() / 2);
+  system.ExportMetrics(registry);
+  const auto& latency = registry.GetHistogram("system.admit.latency_ns");
+  EXPECT_EQ(latency.Count(), 4u);
+  EXPECT_GT(latency.Sum(), 0.0);
+  EXPECT_GT(latency.Min(), 0.0);
+  EXPECT_LE(latency.Max(), latency.Sum());
+  EXPECT_GE(latency.Max() * 4, latency.Sum());
+  // A second export overwrites the snapshot rather than adding to it.
+  system.ExportMetrics(registry);
+  EXPECT_EQ(registry.GetHistogram("system.admit.latency_ns").Count(), 4u);
+  for (const auto& counter : registry.Counters()) {
+    EXPECT_FALSE(counter.name.starts_with("solver.warm.")) << counter.name;
+  }
 }
 
 TEST(AdmissionChurnTest, ConcurrentAdmitsUnderChurn) {
@@ -248,7 +195,6 @@ TEST(AdmissionChurnTest, ConcurrentAdmitsUnderChurn) {
   // ledger.
   core::SfpSystem system(TestSwitch(100000.0));
   system.ProvisionPhysical({{nf::NfType::kFirewall}});
-  system.EnableIncrementalAdmission();
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 40;
   std::vector<std::thread> threads;
@@ -266,8 +212,9 @@ TEST(AdmissionChurnTest, ConcurrentAdmitsUnderChurn) {
   EXPECT_EQ(system.Stats().tenants, kThreads * kOpsPerThread / 2);
   common::metrics::Registry registry;
   system.ExportMetrics(registry);
-  EXPECT_EQ(registry.GetCounter("solver.warm.solves").Value(),
+  EXPECT_EQ(registry.GetHistogram("system.admit.latency_ns").Count(),
             static_cast<std::uint64_t>(kThreads * kOpsPerThread));
+  EXPECT_NEAR(system.Stats().backplane_gbps, kThreads * kOpsPerThread / 2 * 1.0, 1e-9);
 }
 
 }  // namespace

@@ -72,31 +72,20 @@ GATES = [
     # count, but given the issue's default band in case a bench ever
     # exports a core-count-dependent run.
     (r"pipeline\.cache\.(hits|misses|evictions)$", {"tolerance": DEFAULT_TOLERANCE}),
-    # ext3 churn bench (Ext.3, incremental admission). Admit latencies
+    # ext3 churn bench (Ext.3, exact admission ledger). Admit latencies
     # are raw wall-clock nanoseconds — presence-only, never compared.
     (r"system\.admit\.latency\.", {}),
-    # Workload shape is a pure function of the seed.
-    (r"churn\.(boxes\.target|population|diff\.traces)$", {"exact": True}),
-    # Warm and cold admission must never disagree on the differential
-    # shard, whatever the baseline says.
+    # Workload shape is a pure function of the seed, and the ledger's
+    # decisions are integer arithmetic over that trace.
+    (r"churn\.(boxes\.target|population|admitted|rejected|"
+     r"diff\.(traces|decisions|rejects))$", {"exact": True}),
+    # The ledger and the from-scratch closed form must never disagree
+    # on the differential shard, whatever the baseline says.
     (r"churn\.diff\.mismatches$", {"abs_max": 0}),
     # p99 admit latency at the top population over p99 at the bottom,
     # x100. ~100 = flat scaling; 300 is a generous "p99 grows at most
     # 3x across the 8x population sweep" ceiling on a noisy runner.
     (r"churn\.p99_scaling_ratio_x100$", {"abs_max": 300}),
-    # The warm-restart hit rate under steady churn is the tentpole
-    # acceptance bar: at least 90% of re-solves must reuse the basis.
-    (r"solver\.warm\.hit_pct$", {"abs_min": 90}),
-    # Admission decisions are deterministic in exact arithmetic but a
-    # boundary candidate can flip under fp contraction — band them.
-    (r"solver\.warm\.(admitted|rejected)$", {"tolerance": DEFAULT_TOLERANCE}),
-    # The decision count is a pure function of the trace.
-    (r"solver\.warm\.solves$", {"exact": True}),
-    # Pivot-path lengths drift like solver.pivots across the compiler
-    # matrix; phase1_iterations and rebuilds are presence-only (tiny
-    # integers where one legitimate fallback would trip any band).
-    (r"solver\.warm\.(dual_iterations|total_iterations)$", {"tolerance": 0.25}),
-    (r"solver\.warm\.", {}),
     (r"system\.(tenants|admit\.)", {"exact": True}),
     # ext2: fixed packet count, and compiled-vs-interpreted telemetry
     # must stay bit-identical.

@@ -23,12 +23,12 @@
 //                                         run a scenario with its
 //                                         recovery loop and print the
 //                                         summary (docs/SCENARIOS.md)
-//   sfpctl churn --tenants N [--arrivals A] [--seed S] [--warm=off]
+//   sfpctl churn --tenants N [--arrivals A] [--seed S]
 //                                         replay a Pareto-lifetime
 //                                         admission churn trace through
-//                                         the incremental admission LP
+//                                         the exact admission ledger
 //                                         (the ext3 bench's generator)
-//                                         and print warm-restart and
+//                                         and print decision and
 //                                         latency stats
 //
 // Exit code 0 on success, 1 on usage/solve errors (scenario run: also
@@ -47,7 +47,7 @@
 #include <string>
 #include <vector>
 
-#include "controlplane/admission_lp.h"
+#include "controlplane/admission_ledger.h"
 #include "controlplane/annealing_solver.h"
 #include "controlplane/approx_solver.h"
 #include "controlplane/greedy_solver.h"
@@ -416,61 +416,31 @@ int CmdChurn(const std::map<std::string, std::string>& args) {
                      .c_str());
   const auto seed =
       static_cast<std::uint64_t>(std::atoll(Get(args, "seed", "1").c_str()));
-  const bool warm = Get(args, "warm", "on") != "off";
 
   Rng rng(seed);
   const auto trace = workload::GenerateChurnTrace(churn, rng);
-
-  // Capacity calibration mirrors bench/ext3_admission_churn: 105% of
-  // the live demand at the midpoint arrival, so the second half of the
-  // trace runs at capacity and decisions ride binding rows.
-  std::vector<double> stage(static_cast<std::size_t>(churn.num_stages), 0.0);
-  double backplane = 0.0;
-  {
-    std::map<controlplane::IncrementalAdmissionLp::TenantKey,
-             const controlplane::TenantFootprint*>
-        live;
-    std::int64_t arrivals_seen = 0;
-    const std::int64_t midpoint = churn.num_arrivals / 2;
-    for (const auto& event : trace) {
-      if (event.kind == workload::ChurnEvent::Kind::kArrive) {
-        for (const auto& [s, entries] : event.footprint.stage_entries) {
-          stage[static_cast<std::size_t>(s)] += entries;
-        }
-        backplane += event.footprint.BackplaneCharge();
-        live.emplace(event.tenant, &event.footprint);
-        if (++arrivals_seen == midpoint) break;
-      } else if (const auto it = live.find(event.tenant); it != live.end()) {
-        for (const auto& [s, entries] : it->second->stage_entries) {
-          stage[static_cast<std::size_t>(s)] -= entries;
-        }
-        backplane -= it->second->BackplaneCharge();
-        live.erase(it);
-      }
-    }
-  }
-  controlplane::AdmissionLpOptions lp_options;
-  lp_options.stage_capacity.reserve(stage.size());
-  for (const double demand : stage) lp_options.stage_capacity.push_back(demand * 1.05);
-  lp_options.backplane_gbps = backplane * 1.05;
-  lp_options.warm = warm;
-  controlplane::IncrementalAdmissionLp lp(lp_options);
+  // Same calibration as bench/ext3_admission_churn: 105% of the live
+  // demand at the midpoint arrival, so the second half of the trace
+  // runs at capacity and decisions ride binding rows.
+  controlplane::AdmissionLedger ledger(workload::CapacityAtMidpoint(trace, churn, 1.05));
 
   std::vector<std::uint64_t> latencies_ns;
   latencies_ns.reserve(trace.size());
-  std::size_t live_now = 0;
+  long long admitted = 0;
+  long long rejected = 0;
   std::size_t peak_live = 0;
   for (const auto& event : trace) {
     if (event.kind == workload::ChurnEvent::Kind::kDepart) {
-      if (lp.Remove(event.tenant)) --live_now;
+      ledger.Remove(event.tenant);
       continue;
     }
     const auto started = std::chrono::steady_clock::now();
-    const auto decision = lp.TryAdmit(event.tenant, event.footprint);
+    const bool ok = ledger.TryAdmit(event.tenant, event.footprint);
     const auto elapsed = std::chrono::steady_clock::now() - started;
     latencies_ns.push_back(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-    if (decision.admitted && ++live_now > peak_live) peak_live = live_now;
+    ++(ok ? admitted : rejected);
+    peak_live = std::max(peak_live, ledger.size());
   }
   std::sort(latencies_ns.begin(), latencies_ns.end());
   const auto pct = [&](double q) -> unsigned long long {
@@ -480,36 +450,18 @@ int CmdChurn(const std::map<std::string, std::string>& args) {
     return latencies_ns[std::min(idx, latencies_ns.size() - 1)];
   };
 
-  const auto& counters = lp.counters();
-  const double hit_pct =
-      counters.warm_attempts > 0
-          ? 100.0 * static_cast<double>(counters.warm_successes) /
-                static_cast<double>(counters.warm_attempts)
-          : 0.0;
-  std::printf("churn trace       : %lld arrivals toward %lld live tenants "
-              "(seed %llu, warm %s)\n",
+  std::printf("churn trace       : %lld arrivals toward %lld live tenants (seed %llu)\n",
               static_cast<long long>(churn.num_arrivals),
               static_cast<long long>(churn.target_population),
-              static_cast<unsigned long long>(seed), warm ? "on" : "off");
+              static_cast<unsigned long long>(seed));
   std::printf("decisions         : %lld admitted, %lld rejected "
               "(%zu live at end, peak %zu)\n",
-              static_cast<long long>(counters.admitted),
-              static_cast<long long>(counters.rejected), lp.num_admitted(),
-              peak_live);
-  std::printf("warm restarts     : %lld/%lld carried by dual repair "
-              "(%.1f%%), %lld rebuilds\n",
-              static_cast<long long>(counters.warm_successes),
-              static_cast<long long>(counters.warm_attempts), hit_pct,
-              static_cast<long long>(counters.rebuilds));
-  std::printf("simplex pivots    : %lld dual, %lld phase-1, %lld total "
-              "(%.2f per decision)\n",
-              static_cast<long long>(counters.dual_iterations),
-              static_cast<long long>(counters.phase1_iterations),
-              static_cast<long long>(counters.total_iterations),
-              counters.solves > 0
-                  ? static_cast<double>(counters.total_iterations) /
-                        static_cast<double>(counters.solves)
-                  : 0.0);
+              admitted, rejected, ledger.size(), peak_live);
+  std::printf("backplane (eq. 26): %.3f of %.3f Gbps charged at end\n",
+              static_cast<double>(ledger.backplane_used_bps()) /
+                  controlplane::AdmissionLedger::kUnitsPerGbps,
+              static_cast<double>(ledger.backplane_capacity_bps()) /
+                  controlplane::AdmissionLedger::kUnitsPerGbps);
   std::printf("admit latency     : p50 %llu ns, p99 %llu ns, max %llu ns\n",
               pct(0.50), pct(0.99),
               latencies_ns.empty()
@@ -605,7 +557,7 @@ int main(int argc, char** argv) {
                  "        [--tenants N] [--seed S]\n"
                  "  scenario <list|run NAME> [--duration SEC] [--threads N]\n"
                  "        [--compiled 1] [--nf-parallel on|off] [--xt-packing on|off]\n"
-                 "  churn --tenants N [--arrivals A] [--seed S] [--warm=off]\n");
+                 "  churn --tenants N [--arrivals A] [--seed S]\n");
     return 1;
   }
   const std::string command = argv[1];
