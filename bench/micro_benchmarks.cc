@@ -5,8 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "common/rng.h"
 #include "controlplane/approx_solver.h"
@@ -16,6 +18,7 @@
 #include "core/sfp_system.h"
 #include "lp/simplex.h"
 #include "nf/firewall.h"
+#include "nf/nf.h"
 #include "workload/sfc_gen.h"
 #include "lp/presolve.h"
 #include "lp/rounding.h"
@@ -56,15 +59,34 @@ std::uint64_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed
 
 // --- switch data path -------------------------------------------------
 
+/// Provisions the one-NF-per-stage fw | lb | tc | rt layout and admits
+/// tenant 1 with a chain of those four NFs in stage order (50 generated
+/// rules each), so its packets take a single pass.
+bool AdmitFourNfChain(core::SfpSystem& system) {
+  constexpr nf::NfType kLayout[] = {nf::NfType::kFirewall, nf::NfType::kLoadBalancer,
+                                    nf::NfType::kClassifier, nf::NfType::kRouter};
+  std::vector<std::vector<nf::NfType>> stages;
+  Rng rng(1);
+  dataplane::Sfc sfc;
+  sfc.tenant = 1;
+  sfc.bandwidth_gbps = 10.0;
+  for (const nf::NfType type : kLayout) {
+    stages.push_back({type});
+    nf::NfConfig config;
+    config.type = type;
+    config.rules = nf::MakeNf(type)->GenerateRules(rng, /*count=*/50);
+    sfc.chain.push_back(std::move(config));
+  }
+  system.ProvisionPhysical(stages);
+  return system.AdmitTenant(sfc).admitted;
+}
+
 void BM_PipelineProcess4Nf(benchmark::State& state) {
   core::SfpSystem system{switchsim::SwitchConfig{}};
-  system.ProvisionPhysical({{nf::NfType::kFirewall},
-                            {nf::NfType::kLoadBalancer},
-                            {nf::NfType::kClassifier},
-                            {nf::NfType::kRouter}});
-  Rng rng(1);
-  auto sfc = workload::GenerateConcreteSfc(1, 4, 10.0, rng, /*rules_per_nf=*/50);
-  if (!system.AdmitTenant(sfc).admitted) state.SkipWithError("admission failed");
+  if (!AdmitFourNfChain(system)) {
+    state.SkipWithError("admission failed");
+    return;
+  }
   auto packet = net::MakeTcpPacket(1, net::Ipv4Address::Of(10, 1, 2, 3),
                                    net::Ipv4Address::Of(10, 0, 0, 100), 1234, 80, 256);
   for (auto _ : state) {
@@ -76,13 +98,10 @@ BENCHMARK(BM_PipelineProcess4Nf);
 
 void BM_PipelineProcessBatch4Nf(benchmark::State& state) {
   core::SfpSystem system{switchsim::SwitchConfig{}};
-  system.ProvisionPhysical({{nf::NfType::kFirewall},
-                            {nf::NfType::kLoadBalancer},
-                            {nf::NfType::kClassifier},
-                            {nf::NfType::kRouter}});
-  Rng rng(1);
-  auto sfc = workload::GenerateConcreteSfc(1, 4, 10.0, rng, /*rules_per_nf=*/50);
-  if (!system.AdmitTenant(sfc).admitted) state.SkipWithError("admission failed");
+  if (!AdmitFourNfChain(system)) {
+    state.SkipWithError("admission failed");
+    return;
+  }
   std::vector<net::Packet> batch;
   for (int i = 0; i < 1024; ++i) {
     batch.push_back(net::MakeTcpPacket(
@@ -405,6 +424,50 @@ void BM_SfcAllocateDeallocate(benchmark::State& state) {
 }
 BENCHMARK(BM_SfcAllocateDeallocate);
 
+/// Display reporter that forwards to the default one and remembers
+/// whether any run errored or skipped, so a broken benchmark fails the
+/// binary instead of printing its error and exiting 0.
+class FailureTrackingReporter : public benchmark::BenchmarkReporter {
+ public:
+  explicit FailureTrackingReporter(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const Run& run : runs) failed_ |= Failed(run);
+    display_->ReportRuns(runs);
+  }
+  void Finalize() override { display_->Finalize(); }
+
+  bool failed() const { return failed_; }
+
+ private:
+  template <typename R>
+  static bool Failed(const R& run) {
+    if constexpr (requires { run.error_occurred; }) {
+      return run.error_occurred;  // google-benchmark < 1.8
+    } else {
+      return run.skipped != decltype(run.skipped){};  // 1.8+: errors and skips
+    }
+  }
+
+  benchmark::BenchmarkReporter* display_;
+  bool failed_ = false;
+};
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  FailureTrackingReporter reporter(benchmark::CreateDefaultDisplayReporter());
+  benchmark::RunSpecifiedBenchmarks(&reporter);
+  benchmark::Shutdown();
+  if (reporter.failed()) {
+    std::fprintf(stderr, "micro_benchmarks: at least one benchmark errored or skipped\n");
+    return 1;
+  }
+  return 0;
+}

@@ -37,9 +37,10 @@ ExecContext::Entry* ExecContext::Miss(std::uint16_t tenant) {
 }
 
 ExecContext::Entry* ExecContext::Revalidate(Entry& entry) {
-  // A table mutated underneath the plan — either a direct AddEntry
-  // with no DataPlane hook, or another tenant's install bumping a
-  // shared table's epoch. Report it (the cache bumps its generation)
+  // A table changed underneath the plan in a way this tenant can see
+  // — a direct AddEntry naming the tenant with no DataPlane hook, a
+  // default-action change, or an entry that wildcards the tenant
+  // field. Report it (the cache bumps its generation)
   // and recompile in place, so the very next lookup serves compiled
   // again. Deltas already buffered against the stale plan are retired,
   // not dropped. If another worker holds the compile lock — or a

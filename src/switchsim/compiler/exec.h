@@ -16,10 +16,10 @@
 // (consecutive packets of the same tenant) is a single compare.
 //
 // Invalidation: EntryFor revalidates the cache generation (one relaxed
-// load) and the plan's table epochs per packet. A stale plan is
-// reported to the cache and recompiled in place; deltas buffered
-// against the stale plan are retired — kept alive and still flushed —
-// so no counted work is lost.
+// load) and the plan's per-tenant table stamps per packet. A stale
+// plan is reported to the cache and recompiled in place; deltas
+// buffered against the stale plan are retired — kept alive and still
+// flushed — so no counted work is lost.
 #pragma once
 
 #include <cstdint>

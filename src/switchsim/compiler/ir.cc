@@ -48,8 +48,8 @@ IrAction MakeAction(const RawTable& rt, ActionId id, const ActionArgs& args,
 
 /// Builds the slot for one (table, pass); `pass` empty builds the tail
 /// form (no entries: every packet misses).
-IrSlot BuildSlot(const RawTable& rt, std::uint16_t tenant,
-                 std::optional<std::uint64_t> pass, const ActionMetadata* metadata) {
+IrSlot BuildSlot(const RawTable& rt, std::optional<std::uint64_t> pass,
+                 const ActionMetadata* metadata) {
   IrSlot slot;
   slot.table = rt.table;
   slot.stage = rt.stage;
@@ -61,8 +61,9 @@ IrSlot BuildSlot(const RawTable& rt, std::uint16_t tenant,
     slot.writes |= slot.default_act->traits.writes;
   }
   if (pass) {
+    // The snapshot holds only this tenant's entries (LiftTenant has
+    // rejected any that wildcard the prefix), so the pass decides.
     for (const TableEntry& entry : rt.snap.entries) {
-      if (entry.matches[rt.tenant_field].value != tenant) continue;
       if (entry.matches[rt.pass_field].value != *pass) continue;
       IrEntry ie;
       ie.matches = entry.matches;
@@ -141,7 +142,6 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
       RawTable rt;
       rt.table = table.get();
       rt.stage = k;
-      rt.snap = table->Snapshot();
       const auto& key = table->key();
       for (std::size_t f = 0; f < key.size(); ++f) {
         const bool exact = key[f].kind == MatchKind::kExact;
@@ -160,6 +160,18 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
         out.error = "table '" + table->name() + "' lacks the exact (tenant, pass) key prefix";
         return out;
       }
+      rt.snap = table->Snapshot(tenant);
+      for (const TableEntry& entry : rt.snap.entries) {
+        if (entry.matches[rt.tenant_field].mask == 0 || entry.matches[rt.pass_field].mask == 0) {
+          // A wildcarded prefix field lets the entry match this
+          // tenant's packets at every pass (or every tenant's), which
+          // the per-(tenant, pass) slots cannot express.
+          // Unsupported construct -> interpreted path.
+          out.error = "table '" + table->name() +
+                      "' holds an entry that wildcards the (tenant, pass) key prefix";
+          return out;
+        }
+      }
       ir.table_epochs.emplace_back(rt.table, rt.snap.epoch);
       raw.push_back(std::move(rt));
     }
@@ -172,7 +184,6 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
   std::uint64_t num_passes = 1;
   for (const RawTable& rt : raw) {
     for (const TableEntry& entry : rt.snap.entries) {
-      if (entry.matches[rt.tenant_field].value != tenant) continue;
       const std::uint64_t pass = entry.matches[rt.pass_field].value;
       if (pass < guard && pass < 256) num_passes = std::max(num_passes, pass + 1);
     }
@@ -181,12 +192,12 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
   for (std::uint64_t pass = 0; pass < num_passes; ++pass) {
     IrPass ir_pass;
     for (const RawTable& rt : raw) {
-      ir_pass.slots.push_back(BuildSlot(rt, tenant, pass, metadata));
+      ir_pass.slots.push_back(BuildSlot(rt, pass, metadata));
     }
     ir.passes.push_back(std::move(ir_pass));
   }
   for (const RawTable& rt : raw) {
-    ir.tail.slots.push_back(BuildSlot(rt, tenant, std::nullopt, metadata));
+    ir.tail.slots.push_back(BuildSlot(rt, std::nullopt, metadata));
   }
   out.ok = true;
   return out;

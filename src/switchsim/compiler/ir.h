@@ -1,9 +1,12 @@
 // Per-tenant intermediate representation of the pipeline compiler.
 //
 // LiftTenant slices a tenant's rules out of the shared pipeline: every
-// physical NF table's key carries an exact (tenant, pass) prefix, and
-// exact fields cannot be wildcarded, so the entries whose prefix names
-// this tenant are the *only* entries that can ever match its packets.
+// physical NF table's key carries an exact (tenant, pass) prefix, so
+// the entries whose prefix names this tenant are the *only* entries
+// that can ever match its packets — unless an entry wildcards a prefix
+// field (FieldMatch::Any()), which the lift refuses so the tenant stays
+// interpreted. Each table is read through MatchActionTable::Snapshot
+// (tenant), which copies just those entries and the tenant's stamp.
 // The lift groups those entries by recirculation pass into a program of
 // IrPass -> IrSlot (one slot per (stage, table), in pipeline order) and
 // pre-sorts each slot's entries into winner order — (priority desc,
@@ -115,8 +118,9 @@ struct TenantIr {
   /// pass: every slot is dead (all tables miss), matching what the
   /// interpreter does for a (tenant, pass) with no entries.
   IrPass tail;
-  /// Mutation epoch of every lifted table at lift time, in program
-  /// order. The emitted plan revalidates these per packet.
+  /// Every lifted table with its TenantEpoch(tenant) at lift time, in
+  /// program order. The emitted plan revalidates these per packet, so
+  /// only changes this tenant can see make it stale.
   std::vector<std::pair<MatchActionTable*, std::uint64_t>> table_epochs;
   /// The pipeline's table-mutation counter (Validate fast path in the
   /// emitted plan); nullptr when the pipeline does not expose one.
@@ -134,7 +138,8 @@ struct LiftResult {
 /// Lifts `tenant`'s rules from the pipeline's tables. `metadata` may be
 /// null: all actions are then treated as opaque (correct, unoptimized).
 /// Unsupported constructs — a table without the exact (tenant, pass)
-/// key prefix — yield !ok.
+/// key prefix, or an entry that can match the tenant's packets while
+/// wildcarding the tenant or pass field — yield !ok.
 LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
                       const ActionMetadata* metadata);
 

@@ -7,9 +7,11 @@
 // pooled plan-wide and their masks precomputed — so the hot scan
 // touches contiguous words instead of chasing TableEntry vectors.
 //
-// A plan snapshots the mutation epoch of every table it was lifted
-// from; Validate() rechecks them, which is the per-packet backstop of
-// the invalidation contract (docs/COMPILER.md).
+// A plan snapshots its tenant's stamp (MatchActionTable::TenantEpoch)
+// of every table it was lifted from; Validate() rechecks them, which is
+// the per-packet backstop of the invalidation contract
+// (docs/COMPILER.md). Other tenants' rule changes leave the stamps, and
+// so the plan, untouched.
 #pragma once
 
 #include <atomic>
@@ -95,37 +97,39 @@ struct CompiledPlan {
     ActionArgs args;
   };
   std::vector<OpaqueAction> opaque_actions;
-  /// Every lifted table with its epoch at compile time, program order.
+  /// Every lifted table with TenantEpoch(tenant) at compile time, in
+  /// program order.
   std::vector<std::pair<MatchActionTable*, std::uint64_t>> table_epochs;
   /// The pipeline's table-mutation counter (nullptr when the pipeline
   /// does not expose one, e.g. hand-built plans in tests).
   const common::metrics::RelaxedCounter* global_epoch = nullptr;
-  /// Last global_epoch value at which every table_epochs entry was
+  /// Last global_epoch value at which every table_epochs stamp was
   /// verified unchanged. Serve workers advance it monotonically
   /// (relaxed: re-verification is idempotent), so the per-packet
   /// Validate fast path is one relaxed load instead of one per table.
   mutable std::atomic<std::uint64_t> global_epoch_seen{0};
   PassStats stats;
 
-  /// True while no lifted table has been mutated since compile time —
-  /// checked per packet as the invalidation backstop. Fast path: if
-  /// NOTHING in the pipeline mutated since the last full check, the
-  /// per-table epochs cannot have changed either. The global counter
-  /// is read before the per-table sweep, so a mutation racing the
-  /// sweep leaves `global_epoch_seen` behind the counter and the next
-  /// packet re-checks.
+  /// True while no lifted table has changed in a way this tenant can
+  /// see since compile time — checked per packet as the invalidation
+  /// backstop. Fast path: if NOTHING in the pipeline mutated since the
+  /// last full check, no tenant stamp can have changed either. The
+  /// global counter is read before the per-table sweep, so a mutation
+  /// racing the sweep leaves `global_epoch_seen` behind the counter
+  /// and the next packet re-checks. Another tenant's mutation costs
+  /// one sweep, after which the fast path resumes at the new value.
   bool Validate() const {
     std::uint64_t global = 0;
     if (global_epoch != nullptr) {
       global = global_epoch->Value();
       if (global == global_epoch_seen.load(std::memory_order_relaxed)) return true;
       // Pairs with the release fence in MatchActionTable::BumpEpoch:
-      // every table-epoch bump ordered before the observed global
-      // value is visible to the sweep below.
+      // every stamp written before the observed global value is
+      // visible to the sweep below.
       std::atomic_thread_fence(std::memory_order_acquire);
     }
     for (const auto& [table, epoch] : table_epochs) {
-      if (table->epoch() != epoch) return false;
+      if (table->TenantEpoch(tenant) != epoch) return false;
     }
     if (global_epoch != nullptr) {
       global_epoch_seen.store(global, std::memory_order_relaxed);

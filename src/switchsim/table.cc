@@ -33,6 +33,9 @@ MatchActionTable::MatchActionTable(std::string name, std::vector<MatchFieldSpec>
   for (std::size_t f = 0; f < key_.size(); ++f) {
     if (key_[f].kind == MatchKind::kExact) {
       exact_fields_.push_back(f);
+      if (key_[f].field == FieldId::kTenantId && tenant_field_ == Bucket::npos) {
+        tenant_field_ = f;
+      }
     } else {
       nonexact_fields_.push_back(f);
     }
@@ -51,7 +54,36 @@ void MatchActionTable::SetDefaultAction(ActionId action, ActionArgs args) {
   SFP_CHECK_GE(action, 0);
   SFP_CHECK_LT(static_cast<std::size_t>(action), actions_.size());
   default_action_ = {action, std::move(args)};
-  BumpEpoch();  // memoized miss decisions must re-resolve
+  // Every tenant's misses run the default: memoized miss decisions and
+  // every compiled plan must re-resolve.
+  shared_tenant_epoch_ = epoch_.Value() + 1;
+  BumpEpoch();
+}
+
+bool MatchActionTable::CanMatchTenant(const TableEntry& entry, std::uint16_t tenant) const {
+  if (tenant_field_ == Bucket::npos) return true;
+  const FieldMatch& match = entry.matches[tenant_field_];
+  return match.mask == 0 || match.value == tenant;
+}
+
+void MatchActionTable::StampLocked(const TableEntry& entry) {
+  const std::uint64_t next = epoch_.Value() + 1;
+  if (tenant_field_ == Bucket::npos || entry.matches[tenant_field_].mask == 0) {
+    shared_tenant_epoch_ = next;
+  } else {
+    tenant_epochs_[entry.matches[tenant_field_].value] = next;
+  }
+}
+
+std::uint64_t MatchActionTable::TenantEpoch(std::uint16_t tenant) const {
+  std::shared_lock lock(entries_mutex_);
+  return TenantEpochLocked(tenant);
+}
+
+std::uint64_t MatchActionTable::TenantEpochLocked(std::uint16_t tenant) const {
+  const auto it = tenant_epochs_.find(tenant);
+  return it == tenant_epochs_.end() ? shared_tenant_epoch_
+                                    : std::max(it->second, shared_tenant_epoch_);
 }
 
 bool MatchActionTable::IsPureEntry(const TableEntry& entry) const {
@@ -152,6 +184,7 @@ EntryHandle MatchActionTable::AddEntry(std::vector<FieldMatch> matches, ActionId
   entry.priority = priority;
   entry.owner_tenant = owner_tenant;
   entry.handle = next_handle_++;
+  StampLocked(entry);
   entries_.push_back(std::move(entry));
   IndexEntryLocked(entries_.size() - 1);
   BumpEpoch();
@@ -163,6 +196,7 @@ bool MatchActionTable::RemoveEntry(EntryHandle handle) {
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [handle](const TableEntry& e) { return e.handle == handle; });
   if (it == entries_.end()) return false;
+  StampLocked(*it);
   entries_.erase(it);
   // Removal shifts entry indices, so the index is rebuilt wholesale;
   // tenant departure is the control-plane slow path.
@@ -174,7 +208,11 @@ bool MatchActionTable::RemoveEntry(EntryHandle handle) {
 std::size_t MatchActionTable::RemoveTenantEntries(std::uint16_t tenant) {
   std::unique_lock lock(entries_mutex_);
   const std::size_t before = entries_.size();
-  std::erase_if(entries_, [tenant](const TableEntry& e) { return e.owner_tenant == tenant; });
+  std::erase_if(entries_, [this, tenant](const TableEntry& e) {
+    if (e.owner_tenant != tenant) return false;
+    StampLocked(e);
+    return true;
+  });
   const std::size_t removed = before - entries_.size();
   if (removed > 0) {
     RebuildIndexLocked();
@@ -368,14 +406,16 @@ bool MatchActionTable::NeedsTcam() const {
   });
 }
 
-MatchActionTable::CompileSnapshot MatchActionTable::Snapshot() const {
+MatchActionTable::CompileSnapshot MatchActionTable::Snapshot(std::uint16_t tenant) const {
   std::shared_lock lock(entries_mutex_);
   CompileSnapshot snapshot;
-  snapshot.entries = entries_;
+  for (const TableEntry& entry : entries_) {
+    if (CanMatchTenant(entry, tenant)) snapshot.entries.push_back(entry);
+  }
   snapshot.actions = actions_;
   snapshot.action_names = action_names_;
   snapshot.default_action = default_action_;
-  snapshot.epoch = epoch_.Value();
+  snapshot.epoch = TenantEpochLocked(tenant);
   return snapshot;
 }
 

@@ -31,6 +31,14 @@
 // epoch counter; the flow decision cache (flow_cache.h) uses it to
 // invalidate memoized decisions when the control plane changes the
 // table.
+//
+// Compiled plans go stale per tenant instead (docs/COMPILER.md): the
+// exact tenant field keeps one tenant's entries from ever matching
+// another tenant's packets, so each mutation also stamps the epoch it
+// publishes on the one tenant it can affect — or, for a default-action
+// change or an entry that wildcards the tenant field, on every tenant.
+// TenantEpoch(t) and Snapshot(t) read those stamps, so one tenant's
+// admission or departure leaves every other tenant's plan valid.
 #pragma once
 
 #include <algorithm>
@@ -154,17 +162,29 @@ class MatchActionTable {
   /// Cached decisions stamped with an older epoch are invalid.
   std::uint64_t epoch() const { return epoch_.Value(); }
 
+  /// The epoch of the last mutation that could change how `tenant`'s
+  /// packets look up this table: the larger of the last change to
+  /// entries whose exact tenant field names `tenant` and the last
+  /// change every tenant sees (SetDefaultAction, an entry that
+  /// wildcards the tenant field, any mutation of a table without an
+  /// exact tenant field). Stamps come from the monotonic epoch and are
+  /// never reset, so an unchanged value means nothing the tenant can
+  /// match has changed — even across a recycled tenant ID.
+  std::uint64_t TenantEpoch(std::uint16_t tenant) const;
+
   /// Optional pipeline-wide mutation counter, bumped alongside this
   /// table's own epoch. Compiled plans use it as a one-load fast path
   /// for per-packet staleness checks (see CompiledPlan::Validate);
   /// tables created outside a pipeline simply leave it unset.
   void SetSharedEpoch(common::metrics::RelaxedCounter* shared) { shared_epoch_ = shared; }
 
-  /// Consistent copy of everything the pipeline compiler lifts: the
-  /// entries, the registered action callbacks and names, the default
-  /// action, and the epoch the copy was taken at. Taken under the
-  /// shared entry lock, so it can run concurrently with packet serving
-  /// but never observes a half-applied mutation.
+  /// Consistent copy of everything the pipeline compiler lifts for one
+  /// tenant: the entries that can match its packets (its exact tenant
+  /// value, or a wildcarded tenant field), the registered action
+  /// callbacks and names, the default action, and TenantEpoch(tenant)
+  /// at the time of the copy. Taken under the shared entry lock, so it
+  /// can run concurrently with packet serving but never observes a
+  /// half-applied mutation.
   struct CompileSnapshot {
     std::vector<TableEntry> entries;
     std::vector<ActionFn> actions;
@@ -172,7 +192,7 @@ class MatchActionTable {
     std::optional<std::pair<ActionId, ActionArgs>> default_action;
     std::uint64_t epoch = 0;
   };
-  CompileSnapshot Snapshot() const;
+  CompileSnapshot Snapshot(std::uint16_t tenant) const;
 
   /// Batched counter commit for the compiled serve path: adds worker-
   /// buffered hit/miss/default-hit sums in one call each. Totals stay
@@ -210,6 +230,7 @@ class MatchActionTable {
     }
   };
 
+  std::uint64_t TenantEpochLocked(std::uint16_t tenant) const;
   const TableEntry* LookupIndexedLocked(const std::uint64_t* values) const;
   const TableEntry* LookupReferenceLocked(const std::uint64_t* values) const;
   void ExtractKey(const net::Packet& packet, const PacketMeta& meta,
@@ -217,6 +238,14 @@ class MatchActionTable {
   /// True if `entry` qualifies for the pure hash tier (every non-exact
   /// key field is a full wildcard).
   bool IsPureEntry(const TableEntry& entry) const;
+  /// True if `entry` can match `tenant`'s packets as far as the exact
+  /// tenant field decides: that field names `tenant` or is wildcarded,
+  /// or the table has no exact tenant field.
+  bool CanMatchTenant(const TableEntry& entry, std::uint16_t tenant) const;
+  /// Stamps the epoch the next BumpEpoch publishes on the tenant whose
+  /// packets `entry` can match, or on every tenant when it wildcards
+  /// (or the table lacks) the exact tenant field. Exclusive lock held.
+  void StampLocked(const TableEntry& entry);
   /// True if `entry` wildcards at least one exact-kind key field
   /// (mask == 0, the FieldMatch::Any() signature) and therefore lives
   /// in wildcard_spill_ instead of the value-hashed index.
@@ -236,6 +265,9 @@ class MatchActionTable {
   std::vector<std::size_t> exact_fields_;
   /// Indices into key_ of the remaining (ternary/LPM/range) fields.
   std::vector<std::size_t> nonexact_fields_;
+  /// Index into key_ of the first exact-kind tenant-ID field (the
+  /// field the per-tenant stamps key on), or npos when there is none.
+  std::size_t tenant_field_ = Bucket::npos;
   std::vector<std::string> action_names_;
   std::vector<ActionFn> actions_;
   std::optional<std::pair<ActionId, ActionArgs>> default_action_;
@@ -263,12 +295,20 @@ class MatchActionTable {
   common::metrics::RelaxedCounter default_hits_;
   common::metrics::RelaxedCounter epoch_;
   common::metrics::RelaxedCounter* shared_epoch_ = nullptr;
+  /// Per-tenant stamps behind TenantEpoch: epoch of the last change to
+  /// entries whose exact tenant field holds the key, and of the last
+  /// change every tenant sees. Written under the exclusive entry lock,
+  /// read under the shared one; entries are never erased, so a stamp
+  /// only grows.
+  std::unordered_map<std::uint64_t, std::uint64_t> tenant_epochs_;
+  std::uint64_t shared_tenant_epoch_ = 0;
 
   /// Single bump site: the table's own epoch plus the pipeline-wide
-  /// counter when attached. The release fence pairs with the acquire
-  /// fence in CompiledPlan::Validate: a reader that observes the
-  /// shared bump is guaranteed to also observe this table's epoch
-  /// bump, so the one-load fast path can never cache a stale verdict.
+  /// counter when attached. Callers write the tenant stamps first. The
+  /// release fence pairs with the acquire fence in
+  /// CompiledPlan::Validate: a reader that observes the shared bump is
+  /// guaranteed to also observe this table's stamps, so the one-load
+  /// fast path can never cache a stale verdict.
   void BumpEpoch() {
     epoch_.Add(1);
     if (shared_epoch_ != nullptr) {

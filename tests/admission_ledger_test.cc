@@ -214,8 +214,8 @@ TEST(AdmissionLedgerTest, BackplaneRejectedAdmitTouchesNoTable) {
     packets.insert(packets.end(), flows.begin(), flows.end());
   }
   // Two single-threaded batches (no serve-path compile contention):
-  // the first recompiles plans that later admissions made stale, the
-  // second must be steady.
+  // admit-time plans stay valid across later admissions (plans go
+  // stale per tenant), so the recompile count is steady from here on.
   switchsim::BatchOptions serve;
   serve.num_threads = 1;
   system.ProcessBatch(packets, serve);

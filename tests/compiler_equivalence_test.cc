@@ -195,10 +195,10 @@ TEST(CompiledEquivalenceTest, RandomizedBitIdenticalAcrossThreads) {
 
     // And the compiled system must actually have served compiled: every
     // admitted tenant compiles (no fallbacks). Single-threaded, not one
-    // packet may fall back to the interpreter's flow-decision cache —
-    // even tenants whose admit-time plans went stale (later admissions
-    // bump shared table epochs) recompile in place on first lookup.
-    // Multi-threaded, compile-lock contention may interpret a few.
+    // packet may fall back to the interpreter's flow-decision cache:
+    // later admissions leave earlier tenants' admit-time plans valid,
+    // since plans go stale per tenant. Multi-threaded, compile-lock
+    // contention may interpret a few.
     common::metrics::Registry registry;
     compiled.ExportMetrics(registry);
     EXPECT_GE(registry.GetCounter("compiler.plans_compiled").Value(), 6u);
@@ -351,7 +351,8 @@ TEST(CompilerChurnTest, InvalidationUnderRuleChurnStaysBitIdentical) {
 // Compiled serving while another thread churns a tenant through
 // admit/remove — each departure invalidates its plan mid-traffic. Run
 // under TSan to validate the plan-cache locking; the assertions check
-// that resident tenants' compiled results never waver.
+// that resident tenants' compiled results never waver and that their
+// plans are never recompiled.
 TEST(CompilerChurnConcurrencyTest, ConcurrentChurnAndCompiledServe) {
   auto system = MakeSystem(/*compiled=*/true);
   dataplane::Sfc t1;
@@ -364,6 +365,12 @@ TEST(CompilerChurnConcurrencyTest, ConcurrentChurnAndCompiledServe) {
   t3.chain = {Rt(), Fw()};
   ASSERT_TRUE(system.AdmitTenant(t1).admitted);
   ASSERT_TRUE(system.AdmitTenant(t3).admitted);
+  auto* cache = system.data_plane().pipeline().plan_cache();
+  ASSERT_NE(cache, nullptr);
+  const auto plan1 = cache->Acquire(1);
+  const auto plan3 = cache->Acquire(3);
+  ASSERT_NE(plan1, nullptr);
+  ASSERT_NE(plan3, nullptr);
 
   // Interpreted twin for the quiescent reference outcomes.
   auto scalar = MakeSystem(/*compiled=*/false);
@@ -411,9 +418,13 @@ TEST(CompilerChurnConcurrencyTest, ConcurrentChurnAndCompiledServe) {
   control.join();
   EXPECT_GT(churns.load(), 0);
   EXPECT_FALSE(system.data_plane().IsAllocated(9));
-  const auto* cache = system.data_plane().pipeline().plan_cache();
-  ASSERT_NE(cache, nullptr);
   EXPECT_GT(cache->Invalidations(), 0u);
+  // The resident tenants' plans were never recompiled: tenant 9's
+  // rule changes leave their per-tenant stamps untouched.
+  EXPECT_TRUE(plan1->Validate());
+  EXPECT_TRUE(plan3->Validate());
+  EXPECT_EQ(cache->Acquire(1), plan1);
+  EXPECT_EQ(cache->Acquire(3), plan3);
 }
 
 }  // namespace

@@ -4,12 +4,14 @@
 // struct-of-arrays plan emission, and the plan cache's warm /
 // invalidate / fallback contract. The randomized compiled-vs-
 // interpreted bit-identity suite lives in compiler_equivalence_test.cc.
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dataplane/data_plane.h"
+#include "net/packet.h"
 #include "nf/classifier.h"
 #include "nf/firewall.h"
 #include "nf/load_balancer.h"
@@ -127,6 +129,66 @@ TEST(LiftTest, TableWithoutTenantPassPrefixIsUnsupported) {
   EXPECT_FALSE(lifted.ok);
   EXPECT_NE(lifted.error.find("custom"), std::string::npos);
   EXPECT_NE(lifted.error.find("(tenant, pass)"), std::string::npos);
+}
+
+// An entry that wildcards the tenant field can match every tenant's
+// packets, and one that wildcards the pass field matches at every pass;
+// neither fits a per-(tenant, pass) slot. The lift must refuse them so
+// the tenant serves interpreted instead of from a plan that ignores the
+// entry.
+TEST(LiftTest, EntryWildcardingThePrefixFallsBackToTheInterpreter) {
+  DataPlane dp;
+  ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
+  ASSERT_TRUE(dp.InstallPhysicalNf(1, nf::NfType::kRouter));
+  Sfc t1;
+  t1.tenant = 1;
+  t1.chain = {FwConfig(), RtConfig()};
+  ASSERT_TRUE(dp.AllocateSfc(t1).ok);
+  dp.EnableCompiledPlans();
+  Pipeline& pipeline = dp.pipeline();
+  auto* cache = pipeline.plan_cache();
+  ASSERT_TRUE(cache->Warm(1));
+
+  // Port 80 misses both firewall rules: tenant 1's catch-all forwards
+  // it to the router, which sends it to port 7.
+  const net::Packet packet =
+      net::MakeTcpPacket(1, net::Ipv4Address::Of(10, 0, 0, 2), net::Ipv4Address::Of(10, 9, 0, 1),
+                         1234, 80, 128);
+  BatchOptions serve;
+  serve.num_threads = 1;
+  ASSERT_EQ(pipeline.ProcessBatch({&packet, 1}, serve)[0].meta.egress_port, 7);
+
+  // Installed with no DataPlane hook: tenant = Any, pass 0, deny,
+  // outranking tenant 1's catch-all.
+  auto* fw = pipeline.stage(0).tables()[0].get();
+  const auto& names = fw->action_names();
+  const auto deny =
+      static_cast<ActionId>(std::find(names.begin(), names.end(), "deny") - names.begin());
+  ASSERT_LT(static_cast<std::size_t>(deny), names.size());
+  std::vector<FieldMatch> matches(fw->key().size(), FieldMatch::Any());
+  matches[1] = FieldMatch::Exact(0);
+  const EntryHandle any_tenant = fw->AddEntry(matches, deny);
+  ASSERT_NE(any_tenant, kInvalidEntryHandle);
+
+  const ProcessResult interpreted = pipeline.Process(packet);
+  EXPECT_TRUE(interpreted.meta.dropped);
+  const ProcessResult compiled = pipeline.ProcessBatch({&packet, 1}, serve)[0];
+  EXPECT_TRUE(compiled.meta.dropped);
+  EXPECT_EQ(compiled.meta.egress_port, interpreted.meta.egress_port);
+  EXPECT_FALSE(cache->Warm(1));
+  EXPECT_EQ(cache->FallbackTenants(), 1u);
+  const auto lifted = LiftTenant(pipeline, 1, nullptr);
+  EXPECT_FALSE(lifted.ok);
+  EXPECT_NE(lifted.error.find("wildcards the (tenant, pass)"), std::string::npos)
+      << lifted.error;
+
+  // The same holds for an entry naming tenant 1 at every pass.
+  ASSERT_TRUE(fw->RemoveEntry(any_tenant));
+  ASSERT_TRUE(LiftTenant(pipeline, 1, nullptr).ok);
+  matches[0] = FieldMatch::Exact(1);
+  matches[1] = FieldMatch::Any();
+  ASSERT_NE(fw->AddEntry(matches, deny), kInvalidEntryHandle);
+  EXPECT_FALSE(LiftTenant(pipeline, 1, nullptr).ok);
 }
 
 // ------------------------------------------- pass: dead-table elimination
@@ -369,6 +431,59 @@ TEST(PlanCacheTest, ExecContextDetectsStaleEpochsPerPacket) {
   EXPECT_TRUE(recompiled->Validate());
   EXPECT_GE(cache->Invalidations(), 1u);
   EXPECT_GE(cache->Recompiles(), 1u);
+}
+
+// Plans go stale per tenant: another tenant's admission, departure and
+// atomic swap through the DataPlane leave tenant 1's stamps — and so
+// its plan — untouched, while changes tenant 1 can see still make it
+// stale.
+TEST(PlanCacheTest, OtherTenantsRuleChangesLeaveThePlanValid) {
+  auto dp = MakeDataPlane();
+  dp.EnableCompiledPlans();
+  auto* cache = dp.pipeline().plan_cache();
+  ASSERT_TRUE(cache->Warm(1));
+  const auto plan = cache->Acquire(1);
+  ASSERT_NE(plan, nullptr);
+  const std::uint64_t recompiles = cache->Recompiles();
+  const std::uint64_t mutations = dp.pipeline().table_mutation_epoch()->Value();
+
+  // Tenant 4 shares all three tables with tenant 1.
+  Sfc b;
+  b.tenant = 4;
+  b.chain = {FwConfig(), TcConfig(4), RtConfig()};
+  ASSERT_TRUE(dp.AllocateSfc(b).ok);
+  EXPECT_GT(dp.DeallocateSfc(4), 0u);
+  ASSERT_TRUE(dp.AllocateSfc(b).ok);
+  Sfc swapped = b;
+  swapped.chain = {TcConfig(5), RtConfig()};
+  using Op = DataPlane::UpdateOp;
+  const auto batch = dp.ApplyAtomic({{Op::Kind::kRemove, b}, {Op::Kind::kAdmit, swapped}});
+  ASSERT_TRUE(batch.ok) << batch.error;
+  ASSERT_GT(dp.pipeline().table_mutation_epoch()->Value(), mutations);
+
+  EXPECT_TRUE(plan->Validate());
+  EXPECT_EQ(cache->Acquire(1), plan);
+  ExecContext exec(*cache);
+  EXPECT_EQ(exec.PlanFor(1), plan.get());
+  EXPECT_EQ(cache->Recompiles(), recompiles);
+
+  // A direct install under tenant 1's (tenant, pass) prefix.
+  auto* fw = dp.pipeline().stage(0).tables()[0].get();
+  std::vector<FieldMatch> matches(fw->key().size(), FieldMatch::Any());
+  matches[0] = FieldMatch::Exact(1);
+  matches[1] = FieldMatch::Exact(0);
+  ASSERT_NE(fw->AddEntry(std::move(matches), 0, {}, 5, 1), kInvalidEntryHandle);
+  EXPECT_FALSE(plan->Validate());
+
+  // A default-action change on a lifted table: every tenant's misses
+  // run it.
+  cache->Invalidate(1);
+  ASSERT_TRUE(cache->Warm(1));
+  const auto fresh = cache->Acquire(1);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_TRUE(fresh->Validate());
+  dp.pipeline().stage(2).tables()[0]->SetDefaultAction(0);
+  EXPECT_FALSE(fresh->Validate());
 }
 
 TEST(PlanCacheTest, UnsupportedTenantIsCachedAsInterpreterFallback) {

@@ -104,6 +104,57 @@ TEST(TableTest, RemoveByHandleAndTenant) {
   EXPECT_EQ(table.num_entries(), 0u);
 }
 
+// TenantEpoch moves only on changes the tenant's packets can see, and
+// Snapshot(t) copies exactly the entries that can match them.
+TEST(TableTest, TenantEpochAndSnapshotArePerTenant) {
+  MatchActionTable table("t", {{FieldId::kTenantId, MatchKind::kExact},
+                               {FieldId::kDstPort, MatchKind::kExact}});
+  auto act = table.RegisterAction("noop", [](net::Packet&, PacketMeta&, const ActionArgs&) {});
+  table.AddEntry({FieldMatch::Exact(1), FieldMatch::Exact(80)}, act, {}, 0, 1);
+  const std::uint64_t one = table.TenantEpoch(1);
+  EXPECT_EQ(one, table.epoch());
+
+  // Tenant 2 arrives, changes and leaves: tenant 1 never notices.
+  const EntryHandle h2 = table.AddEntry({FieldMatch::Exact(2), FieldMatch::Exact(80)}, act, {},
+                                        0, 2);
+  table.AddEntry({FieldMatch::Exact(2), FieldMatch::Exact(81)}, act, {}, 0, 2);
+  EXPECT_TRUE(table.RemoveEntry(h2));
+  const std::uint64_t two = table.TenantEpoch(2);
+  EXPECT_EQ(two, table.epoch());
+  EXPECT_EQ(table.RemoveTenantEntries(2), 1u);
+  EXPECT_EQ(table.TenantEpoch(1), one);
+  // The departed ID keeps a later stamp, so a plan compiled for its
+  // earlier holder cannot validate against a recycled one.
+  EXPECT_GT(table.TenantEpoch(2), two);
+  // A tenant that never held an entry shares the shared stamp.
+  EXPECT_LT(table.TenantEpoch(3), one);
+
+  ASSERT_EQ(table.Snapshot(1).entries.size(), 1u);
+  EXPECT_EQ(table.Snapshot(1).epoch, one);
+  EXPECT_TRUE(table.Snapshot(2).entries.empty());
+
+  // An entry that wildcards the tenant field can match every tenant.
+  const EntryHandle any = table.AddEntry({FieldMatch::Any(), FieldMatch::Exact(82)}, act);
+  EXPECT_EQ(table.TenantEpoch(1), table.epoch());
+  EXPECT_EQ(table.TenantEpoch(3), table.epoch());
+  EXPECT_EQ(table.Snapshot(1).entries.size(), 2u);
+  EXPECT_EQ(table.Snapshot(3).entries.size(), 1u);
+  EXPECT_TRUE(table.RemoveEntry(any));
+
+  // So does the default action.
+  const std::uint64_t before = table.TenantEpoch(1);
+  table.SetDefaultAction(act);
+  EXPECT_GT(table.TenantEpoch(1), before);
+  EXPECT_EQ(table.TenantEpoch(1), table.epoch());
+
+  // Without an exact tenant field every change is shared.
+  MatchActionTable flat("f", {{FieldId::kDstPort, MatchKind::kExact}});
+  auto flat_act = flat.RegisterAction("noop", [](net::Packet&, PacketMeta&, const ActionArgs&) {});
+  flat.AddEntry({FieldMatch::Exact(80)}, flat_act, {}, 0, 5);
+  EXPECT_EQ(flat.TenantEpoch(1), flat.epoch());
+  EXPECT_EQ(flat.Snapshot(1).entries.size(), 1u);
+}
+
 TEST(TableTest, NeedsTcamDetection) {
   MatchActionTable exact("e", {{FieldId::kDstIp, MatchKind::kExact}});
   MatchActionTable ternary("t", {{FieldId::kDstIp, MatchKind::kTernary}});
