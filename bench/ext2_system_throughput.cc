@@ -6,7 +6,7 @@
 // (docs/COMPILER.md). Two modes per thread count:
 //
 //   interp   — SfpSystem::ProcessBatch on the interpreted pipeline
-//              (per-table Apply walk with the flow-decision cache);
+//              (per-table Apply walk over the lookup index);
 //   compiled — the same system with EnableCompiledPlans(): admitted
 //              tenants serve from CompiledPlans (SoA rule layout,
 //              fused extraction groups, buffered counter deltas).

@@ -7,7 +7,6 @@
 #include <cstdlib>
 
 #include "common/table.h"
-#include "controlplane/annealing_solver.h"
 #include "controlplane/approx_solver.h"
 #include "controlplane/greedy_solver.h"
 #include "controlplane/ilp_solver.h"
@@ -47,10 +46,6 @@ int main(int argc, char** argv) {
   greedy_options.max_passes = 3;
   auto greedy = SolveGreedy(instance, greedy_options);
 
-  AnnealingOptions annealing_options;
-  annealing_options.placement = greedy_options;
-  auto annealed = SolveAnnealing(instance, annealing_options);
-
   Table table({"algorithm", "objective (eq.1)", "placed", "offloaded Gbps",
                "backplane Gbps", "time (s)"});
   table.Row()
@@ -74,13 +69,6 @@ int main(int argc, char** argv) {
       .Add(greedy.solution.OffloadedGbps(instance), 1)
       .Add(greedy.solution.BackplaneGbps(instance), 1)
       .Add(greedy.seconds, 4);
-  table.Row()
-      .Add("Annealing")
-      .Add(annealed.objective, 1)
-      .Add(static_cast<std::int64_t>(annealed.solution.NumPlaced()))
-      .Add(annealed.solution.OffloadedGbps(instance), 1)
-      .Add(annealed.solution.BackplaneGbps(instance), 1)
-      .Add(annealed.seconds, 2);
   table.Print(std::cout);
   std::printf("\nLP upper bound: %.1f; IP dual bound: %.1f (status %s)\n",
               approx.lp_bound, ilp.best_bound, lp::ToString(ilp.status));

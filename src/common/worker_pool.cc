@@ -41,20 +41,18 @@ void WorkerPool::WorkerLoop() {
       work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
       if (stop_) return;
       seen = generation_;
+      // The job may already be retired by the time this worker wakes.
+      if (task_ == nullptr) continue;
       task = task_;
       count = count_;
+      ++active_;
     }
-    // The job may already be fully claimed (or retired) by the time
-    // this worker wakes; the cursor check below handles both.
-    if (task == nullptr) continue;
     for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < count;
          i = next_.fetch_add(1, std::memory_order_relaxed)) {
       (*task)(i);
-      if (completed_.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        done_cv_.notify_all();
-      }
     }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--active_ == 0) done_cv_.notify_all();
   }
 }
 
@@ -66,7 +64,6 @@ void WorkerPool::ParallelFor(int count, const std::function<void(int)>& task) {
     task_ = &task;
     count_ = count;
     next_.store(0, std::memory_order_relaxed);
-    completed_.store(0, std::memory_order_relaxed);
     ++generation_;
   }
   work_cv_.notify_all();
@@ -74,10 +71,12 @@ void WorkerPool::ParallelFor(int count, const std::function<void(int)>& task) {
   for (int i = next_.fetch_add(1, std::memory_order_relaxed); i < count;
        i = next_.fetch_add(1, std::memory_order_relaxed)) {
     task(i);
-    completed_.fetch_add(1, std::memory_order_acq_rel);
   }
+  // Every index is claimed now, and each one a worker claimed runs
+  // while that worker is active: once none is, all have finished. The
+  // task is retired under the same lock, so a late waker skips it.
   std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return completed_.load(std::memory_order_acquire) == count; });
+  done_cv_.wait(lock, [&] { return active_ == 0; });
   task_ = nullptr;
 }
 

@@ -7,9 +7,11 @@
 // threads *and* the calling thread, returning once every index has
 // finished. Indices are claimed with an atomic cursor, so the pool
 // works correctly with any thread count — including zero pool threads,
-// where the caller simply runs every index itself. One job runs at a
-// time; concurrent ParallelFor callers serialize. Do not call
-// ParallelFor from inside a task (it would self-deadlock).
+// where the caller simply runs every index itself. ParallelFor also
+// waits for every worker that joined the job to leave it, so no worker
+// can run a finished job's task or claim the next job's indices. One
+// job runs at a time; concurrent ParallelFor callers serialize. Do not
+// call ParallelFor from inside a task (it would self-deadlock).
 #pragma once
 
 #include <atomic>
@@ -51,13 +53,13 @@ class WorkerPool {
 
   std::mutex mutex_;
   std::condition_variable work_cv_;  // signals workers: a new job exists
-  std::condition_variable done_cv_;  // signals the caller: job finished
+  std::condition_variable done_cv_;  // signals the caller: last worker left
   const std::function<void(int)>* task_ = nullptr;  // guarded by mutex_
   int count_ = 0;                                   // guarded by mutex_
   std::uint64_t generation_ = 0;                    // guarded by mutex_
   bool stop_ = false;                               // guarded by mutex_
+  int active_ = 0;  // guarded by mutex_: workers inside the current job
   std::atomic<int> next_{0};       // next unclaimed index
-  std::atomic<int> completed_{0};  // indices finished
   std::mutex job_mutex_;           // serializes ParallelFor callers
   std::vector<std::thread> threads_;
 };

@@ -84,8 +84,9 @@ class Ledger {
   std::vector<int> logical_blocks_;  // per-logical-NF mode only
 };
 
-}  // namespace
-
+/// The placement kernel of Algorithm 2: offers chains to the
+/// earliest-fit placer in exactly the given `order` (a permutation of
+/// chain indices).
 PlacementSolution PlaceInOrder(const PlacementInstance& instance,
                                const std::vector<int>& order, const GreedyOptions& options) {
   const int S = instance.sw.stages;
@@ -187,6 +188,8 @@ PlacementSolution PlaceInOrder(const PlacementInstance& instance,
 
   return solution;
 }
+
+}  // namespace
 
 GreedyReport SolveGreedy(const PlacementInstance& instance, const GreedyOptions& options) {
   instance.CheckValid();

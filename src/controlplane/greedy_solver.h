@@ -31,11 +31,4 @@ struct GreedyReport {
 /// Runs Algorithm 2.
 GreedyReport SolveGreedy(const PlacementInstance& instance, const GreedyOptions& options = {});
 
-/// The placement kernel of Algorithm 2: offers chains to the
-/// earliest-fit placer in exactly the given `order` (a permutation of
-/// chain indices). Shared by SolveGreedy (eq. 13 metric order) and the
-/// simulated-annealing solver (mutated orders).
-PlacementSolution PlaceInOrder(const PlacementInstance& instance,
-                               const std::vector<int>& order, const GreedyOptions& options);
-
 }  // namespace sfp::controlplane

@@ -226,7 +226,7 @@ void SfpSystem::ProcessBatchInto(std::span<const net::Packet> packets,
 }
 
 void SfpSystem::ExportMetrics(common::metrics::Registry& registry) const {
-  data_plane_.pipeline().ExportMetrics(registry);
+  data_plane_.ExportMetrics(registry);
   // One all-shard locking pass for the whole collector instead of a
   // lock acquisition per tenant.
   const auto snapshot = telemetry_.TakeSnapshot();
@@ -478,8 +478,7 @@ void SfpSystem::CompactAfterDeparture() {
     const auto result = ReprovisionTenantLocked(sfc, options);
     if (!result.ok) return;
     if (result.passes >= before) return;  // lateral move: stop compacting
-    data_plane_.pipeline().RecordXtCompaction(
-        static_cast<std::uint64_t>(before - result.passes));
+    data_plane_.RecordXtCompaction(static_cast<std::uint64_t>(before - result.passes));
     SFP_LOG_DEBUG << "compacted tenant " << best.tenant << " from " << before << " to "
                   << result.passes << " pass(es) after a departure";
   }

@@ -234,9 +234,9 @@ class SfpSystem {
                         std::span<switchsim::ProcessResult> results,
                         const switchsim::BatchOptions& options = {});
 
-  /// Snapshots pipeline counters, per-tenant telemetry, and the
-  /// admission/reject taxonomy into `registry` (names documented in
-  /// docs/METRICS.md).
+  /// Snapshots the data plane's counters (DataPlane::ExportMetrics),
+  /// per-tenant telemetry, and the admission/reject taxonomy into
+  /// `registry` (names documented in docs/METRICS.md).
   void ExportMetrics(common::metrics::Registry& registry) const;
 
   /// Admission totals read from the ledger plus switch occupancy.

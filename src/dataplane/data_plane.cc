@@ -407,7 +407,7 @@ AllocationPlan DataPlane::PlanSfc(const Sfc& sfc, std::optional<int> max_passes)
   const bool sequential_ok = PlanSequential(sfc, pass_limit, sequential);
   const int sequential_passes = sequential_ok ? AssignRecMarks(sequential) : 0;
 
-  switchsim::Pipeline::PassPackingStats& stats = plan.packing;
+  PassPackingStats& stats = plan.packing;
   const bool xt = pipeline_.config().cross_tenant_packing;
   // Cross-tenant co-scheduling implies dependency-aware planning: the
   // packed per-tenant plan is the reference the co-scheduled plan must
@@ -490,9 +490,9 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
   // entry installed so far is unwound so the data plane is left exactly
   // as before the call.
   // Unwind sweeps every physical table, but tables holding none of
-  // this tenant's rules are a no-op remove and keep their lookup epoch,
-  // so in-flight workers' memoized decisions for other tenants stay
-  // valid (flow_cache.h invalidation contract).
+  // this tenant's rules are a no-op remove and keep their epoch and
+  // the pipeline-wide mutation counter, so other tenants' compiled
+  // plans stay on their one-load Validate fast path.
   auto unwind_install = [this, &sfc](const char* where) {
     for (auto& slot : slots_) slot.table->RemoveTenantEntries(sfc.tenant);
     InvalidatePlan(sfc.tenant);
@@ -544,7 +544,7 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
     }
   }
 
-  switchsim::Pipeline::PassPackingStats stats = plan.packing;
+  PassPackingStats stats = plan.packing;
   const bool xt = pipeline_.config().cross_tenant_packing;
   if (xt) {
     // Book the installed placements in the shared ledger (one claim
@@ -563,7 +563,7 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
     stats.xt_windows_joined = joined;
     retained_[sfc.tenant] = sfc;
   }
-  if (pipeline_.config().nf_parallelism || xt) pipeline_.RecordPassPacking(stats);
+  if (pipeline_.config().nf_parallelism || xt) RecordPassPacking(stats);
   allocations_[sfc.tenant] = plan.allocation;
   // The tenant's rules just changed under any previously compiled plan
   // (re-admission after departure); the per-packet epoch check would
@@ -576,10 +576,11 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
 
 std::size_t DataPlane::DeallocateSfc(TenantId tenant) {
   std::size_t removed = 0;
-  // Each per-table removal bumps that table's lookup epoch (only where
-  // rules were actually removed), which invalidates exactly the flow
-  // decision caches that could name the departed tenant's entries; the
-  // serve path may keep running concurrently throughout.
+  // Each per-table removal stamps the departed tenant's epoch only
+  // where rules were actually removed; tables it held nothing in stay
+  // put, so other tenants' compiled plans keep their stamps and their
+  // one-load Validate fast path. The serve path may keep running
+  // concurrently throughout.
   for (auto& slot : slots_) removed += slot.table->RemoveTenantEntries(tenant);
   allocations_.erase(tenant);
   // No-ops unless cross_tenant_packing booked the tenant at admit.
@@ -734,6 +735,62 @@ DataPlane::BatchResult DataPlane::ApplyAtomic(const std::vector<UpdateOp>& ops) 
   }
   result.ok = true;
   return result;
+}
+
+void DataPlane::RecordPassPacking(const PassPackingStats& stats) {
+  if (stats.sequential != 0) passes_sequential_.Add(stats.sequential);
+  if (stats.packed != 0) passes_packed_.Add(stats.packed);
+  if (stats.reject_field_conflict != 0) {
+    pack_reject_conflict_.Add(stats.reject_field_conflict);
+  }
+  if (stats.reject_drop_gate != 0) pack_reject_gate_.Add(stats.reject_drop_gate);
+  if (stats.fallback_sequential != 0) pack_fallback_.Add(stats.fallback_sequential);
+  if (stats.xt_allocations != 0) xt_allocations_.Add(stats.xt_allocations);
+  if (stats.xt_windows_opened != 0) xt_windows_opened_.Add(stats.xt_windows_opened);
+  if (stats.xt_windows_joined != 0) xt_windows_joined_.Add(stats.xt_windows_joined);
+  if (stats.xt_fallback != 0) xt_fallback_.Add(stats.xt_fallback);
+}
+
+void DataPlane::RecordXtCompaction(std::uint64_t passes_saved) {
+  xt_compactions_.Add(1);
+  if (passes_saved != 0) xt_compaction_saved_.Add(passes_saved);
+}
+
+PassPackingStats DataPlane::pass_packing() const {
+  PassPackingStats stats;
+  stats.sequential = passes_sequential_.Value();
+  stats.packed = passes_packed_.Value();
+  stats.reject_field_conflict = pack_reject_conflict_.Value();
+  stats.reject_drop_gate = pack_reject_gate_.Value();
+  stats.fallback_sequential = pack_fallback_.Value();
+  stats.xt_allocations = xt_allocations_.Value();
+  stats.xt_windows_opened = xt_windows_opened_.Value();
+  stats.xt_windows_joined = xt_windows_joined_.Value();
+  stats.xt_fallback = xt_fallback_.Value();
+  return stats;
+}
+
+void DataPlane::ExportMetrics(common::metrics::Registry& registry) const {
+  pipeline_.ExportMetrics(registry);
+  const PassPackingStats stats = pass_packing();
+  registry.GetCounter("pipeline.passes.sequential").Set(stats.sequential);
+  registry.GetCounter("pipeline.passes.packed").Set(stats.packed);
+  registry.GetCounter("pipeline.passes.saved").Set(stats.sequential - stats.packed);
+  registry.GetCounter("pipeline.passes.merge_rejects.field_conflict")
+      .Set(stats.reject_field_conflict);
+  registry.GetCounter("pipeline.passes.merge_rejects.drop_gate").Set(stats.reject_drop_gate);
+  registry.GetCounter("pipeline.passes.fallback_sequential").Set(stats.fallback_sequential);
+  if (pipeline_.config().cross_tenant_packing) {
+    // Conditional like compiler.*: only cross-tenant runs carry the
+    // parallelism.xt.* family, so per-tenant baselines stay unchanged.
+    registry.GetCounter("parallelism.xt.allocations").Set(stats.xt_allocations);
+    registry.GetCounter("parallelism.xt.windows_opened").Set(stats.xt_windows_opened);
+    registry.GetCounter("parallelism.xt.windows_joined").Set(stats.xt_windows_joined);
+    registry.GetCounter("parallelism.xt.fallback").Set(stats.xt_fallback);
+    registry.GetCounter("parallelism.xt.compactions").Set(xt_compactions_.Value());
+    registry.GetCounter("parallelism.xt.compaction_passes_saved")
+        .Set(xt_compaction_saved_.Value());
+  }
 }
 
 std::vector<std::vector<nf::NfType>> DataPlane::PhysicalLayout() const {

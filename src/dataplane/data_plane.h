@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "dataplane/sfc.h"
 #include "dataplane/stage_window.h"
 #include "switchsim/pipeline.h"
@@ -74,6 +75,36 @@ struct AllocationResult {
   bool transient() const { return code == AllocCode::kInstallFault; }
 };
 
+/// The allocator's pass-packing tallies: one allocation's, or the
+/// running totals of every installed one (exported as
+/// pipeline.passes.* and parallelism.xt.*; see docs/METRICS.md). All
+/// zero unless SwitchConfig::nf_parallelism or cross_tenant_packing
+/// allocations happened.
+struct PassPackingStats {
+  /// Passes the chain-order reference plan would have used.
+  std::uint64_t sequential = 0;
+  /// Passes the installed (packed) plan uses.
+  std::uint64_t packed = 0;
+  /// Adjacent-NF merges rejected by a field-level conflict.
+  std::uint64_t reject_field_conflict = 0;
+  /// Merges rejected because a drop decision gates a stateful NF.
+  std::uint64_t reject_drop_gate = 0;
+  /// Packed plans discarded for the sequential reference (the
+  /// never-worse fallback: greedy packing needed more passes).
+  std::uint64_t fallback_sequential = 0;
+  /// Cross-tenant co-scheduling tallies (parallelism.xt.*; all zero
+  /// unless SwitchConfig::cross_tenant_packing).
+  /// Allocations that installed the co-scheduled plan.
+  std::uint64_t xt_allocations = 0;
+  /// Placements that opened a new (pass, stage) window.
+  std::uint64_t xt_windows_opened = 0;
+  /// Placements that joined a window another tenant already holds.
+  std::uint64_t xt_windows_joined = 0;
+  /// Co-scheduled plans discarded for the per-tenant reference (the
+  /// never-worse fallback: co-scheduling needed more passes).
+  std::uint64_t xt_fallback = 0;
+};
+
 /// A pure allocation plan (DataPlane::PlanSfc): where each logical NF
 /// of one SFC would land against the current tables, computed without
 /// touching them. Valid for DataPlane::InstallSfc until the next
@@ -83,9 +114,9 @@ struct AllocationPlan {
   /// placements and pass counts, otherwise the deterministic failure
   /// (kEmptyChain, kAlreadyAllocated, kNoPlacement).
   AllocationResult allocation;
-  /// Planner tallies, booked into the pipeline's pass-packing counters
-  /// only when the plan is installed.
-  switchsim::Pipeline::PassPackingStats packing;
+  /// Planner tallies, booked into the data plane's pass-packing
+  /// totals only when the plan is installed.
+  PassPackingStats packing;
 };
 
 /// The SFP data plane: a switch pipeline plus the virtualization layer.
@@ -256,6 +287,21 @@ class DataPlane {
   /// All physical NF types installed per stage (for inspection/P4 gen).
   std::vector<std::vector<nf::NfType>> PhysicalLayout() const;
 
+  /// Packing tallies summed over every installed allocation.
+  PassPackingStats pass_packing() const;
+
+  /// Accumulates one departure-time window-compaction move that
+  /// re-provisioned a tenant into `passes_saved` fewer passes
+  /// (SfpSystem only; exported as parallelism.xt.compaction*).
+  void RecordXtCompaction(std::uint64_t passes_saved);
+  std::uint64_t xt_compactions() const { return xt_compactions_.Value(); }
+  std::uint64_t xt_compaction_passes_saved() const { return xt_compaction_saved_.Value(); }
+
+  /// The pipeline's counters (switchsim::Pipeline::ExportMetrics) plus
+  /// the allocator's tallies: pipeline.passes.*, and parallelism.xt.*
+  /// while cross_tenant_packing is on (docs/METRICS.md).
+  void ExportMetrics(common::metrics::Registry& registry) const;
+
  private:
   struct PhysicalNfSlot {
     nf::NfType type;
@@ -313,6 +359,9 @@ class DataPlane {
   /// the compiler is off or the tenant has no cached plan).
   void InvalidatePlan(TenantId tenant);
 
+  /// Adds one installed allocation's tallies to the running totals.
+  void RecordPassPacking(const PassPackingStats& stats);
+
   switchsim::Pipeline pipeline_;
   std::vector<PhysicalNfSlot> slots_;
   /// tenant -> placements of its chain (for bookkeeping / tests).
@@ -323,6 +372,19 @@ class DataPlane {
   /// Admitted SFCs kept for departure-time compaction re-plans
   /// (cross_tenant_packing only).
   std::map<TenantId, Sfc> retained_;
+  /// Running PassPackingStats totals and compaction tallies (relaxed
+  /// atomics, so ExportMetrics may run beside the control plane).
+  common::metrics::RelaxedCounter passes_sequential_;
+  common::metrics::RelaxedCounter passes_packed_;
+  common::metrics::RelaxedCounter pack_reject_conflict_;
+  common::metrics::RelaxedCounter pack_reject_gate_;
+  common::metrics::RelaxedCounter pack_fallback_;
+  common::metrics::RelaxedCounter xt_allocations_;
+  common::metrics::RelaxedCounter xt_windows_opened_;
+  common::metrics::RelaxedCounter xt_windows_joined_;
+  common::metrics::RelaxedCounter xt_fallback_;
+  common::metrics::RelaxedCounter xt_compactions_;
+  common::metrics::RelaxedCounter xt_compaction_saved_;
 };
 
 }  // namespace sfp::dataplane

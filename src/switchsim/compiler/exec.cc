@@ -92,9 +92,11 @@ void ExecContext::Flush(Pipeline& pipeline) {
   for (const auto& [plan, deltas] : retired_) {
     FlushOne(pipeline, *plan, deltas);
   }
+  cache_.AddInterpretedPackets(interpreted_packets_);
   entries_.clear();
   retired_.clear();
   mru_ = 0;
+  interpreted_packets_ = 0;
 }
 
 namespace {

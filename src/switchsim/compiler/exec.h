@@ -100,8 +100,12 @@ class ExecContext {
     return entry != nullptr ? entry->plan.get() : nullptr;
   }
 
+  /// Counts one packet that EntryFor sent to the interpreter.
+  void CountInterpreted() { ++interpreted_packets_; }
+
   /// Applies every buffered delta — live entries and retired ones — to
-  /// the tables and the pipeline.
+  /// the tables and the pipeline, and the interpreted-packet count to
+  /// the plan cache.
   void Flush(Pipeline& pipeline);
 
  private:
@@ -134,6 +138,8 @@ class ExecContext {
   /// until Flush. Partial flushes of the same plan are fine — all
   /// accumulators are exact integer sums.
   std::vector<std::pair<std::shared_ptr<const CompiledPlan>, PlanDeltas>> retired_;
+  /// Packets this worker interpreted since the last Flush.
+  std::uint64_t interpreted_packets_ = 0;
 };
 
 }  // namespace sfp::switchsim::compiler

@@ -71,8 +71,17 @@ class PlanCache {
   std::uint64_t FusedStages() const { return fused_stages_.load(std::memory_order_relaxed); }
   std::uint64_t DeadTablesEliminated() const { return dead_tables_.load(std::memory_order_relaxed); }
   std::uint64_t FoldedTables() const { return folded_tables_.load(std::memory_order_relaxed); }
+  /// Batch-served packets that found no valid plan and were interpreted.
+  std::uint64_t InterpretedPackets() const {
+    return interpreted_packets_.load(std::memory_order_relaxed);
+  }
   /// Tenants currently marked interpreted-fallback.
   std::uint64_t FallbackTenants() const;
+
+  /// Adds one worker's interpreted-packet count (ExecContext::Flush).
+  void AddInterpretedPackets(std::uint64_t packets) {
+    if (packets != 0) interpreted_packets_.fetch_add(packets, std::memory_order_relaxed);
+  }
 
  private:
   /// Compile + insert with compile_mutex_ held (rechecks the map first).
@@ -99,6 +108,7 @@ class PlanCache {
   std::atomic<std::uint64_t> fused_stages_{0};
   std::atomic<std::uint64_t> dead_tables_{0};
   std::atomic<std::uint64_t> folded_tables_{0};
+  std::atomic<std::uint64_t> interpreted_packets_{0};
 };
 
 }  // namespace sfp::switchsim::compiler

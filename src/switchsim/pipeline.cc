@@ -160,7 +160,7 @@ void Pipeline::EnableCompiler(compiler::ActionMetadata metadata) {
 void Pipeline::DisableCompiler() { plan_cache_.reset(); }
 
 void Pipeline::ProcessOne(const net::Packet& packet, ProcessResult& result,
-                          FlowDecisionCache* cache, compiler::ExecContext* exec) {
+                          compiler::ExecContext* exec) {
   if (exec != nullptr) {
     if (compiler::ExecContext::Entry* entry = exec->EntryFor(packet.TenantId())) {
       ExecuteCompiled(*entry->plan, packet, entry->deltas, result);
@@ -168,6 +168,7 @@ void Pipeline::ProcessOne(const net::Packet& packet, ProcessResult& result,
     }
     // No valid plan (fallback tenant, compile in flight, or stale
     // epoch): interpret this packet.
+    exec->CountInterpreted();
   }
   result.packet = packet;
   PacketMeta meta;
@@ -194,7 +195,7 @@ void Pipeline::ProcessOne(const net::Packet& packet, ProcessResult& result,
     for (auto& stage : stages_) {
       bool active = false;
       for (auto& table : stage.tables()) {
-        active |= table->Apply(result.packet, result.meta, cache);
+        active |= table->Apply(result.packet, result.meta);
         if (result.meta.dropped) break;
       }
       if (active) {
@@ -271,26 +272,15 @@ void Pipeline::ProcessBatchInto(std::span<const net::Packet> packets,
 
   const int shards =
       options.num_threads > 0 ? options.num_threads : common::DefaultParallelism();
-  // Each worker owns a private flow decision cache for the duration of
-  // the call; caches are merged into pipeline.cache.* afterwards.
-  const bool use_cache = options.flow_cache_slots > 0;
-  auto merge_cache = [this](const FlowDecisionCache& cache) {
-    cache_hits_.Add(cache.hits());
-    cache_misses_.Add(cache.misses());
-    cache_evictions_.Add(cache.evictions());
-  };
   // Pin the plan cache for the whole batch so a concurrent
   // DisableCompiler cannot free it under an in-flight worker.
   const std::shared_ptr<compiler::PlanCache> plan_cache = plan_cache_;
   if (shards <= 1 || static_cast<int>(packets.size()) < options.min_parallel_batch) {
-    FlowDecisionCache cache(use_cache ? static_cast<std::size_t>(options.flow_cache_slots)
-                                      : 16);
-    FlowDecisionCache* cache_ptr = use_cache ? &cache : nullptr;
     std::optional<compiler::ExecContext> exec;
     if (plan_cache != nullptr) exec.emplace(*plan_cache);
     if (!options.result_sink) {
       for (std::size_t i = 0; i < packets.size(); ++i) {
-        ProcessOne(packets[i], results[i], cache_ptr, exec ? &*exec : nullptr);
+        ProcessOne(packets[i], results[i], exec ? &*exec : nullptr);
       }
     } else {
       // Sink in cache-sized chunks: the sink re-reads each result it is
@@ -304,7 +294,7 @@ void Pipeline::ProcessBatchInto(std::span<const net::Packet> packets,
       for (std::size_t begin = 0; begin < packets.size(); begin += kSinkChunk) {
         const std::size_t end = std::min(begin + kSinkChunk, packets.size());
         for (std::size_t i = begin; i < end; ++i) {
-          ProcessOne(packets[i], results[i], cache_ptr, exec ? &*exec : nullptr);
+          ProcessOne(packets[i], results[i], exec ? &*exec : nullptr);
         }
         options.result_sink(
             std::span<const std::uint32_t>(all.data() + begin, end - begin),
@@ -312,7 +302,6 @@ void Pipeline::ProcessBatchInto(std::span<const net::Packet> packets,
       }
     }
     if (exec) exec->Flush(*this);
-    if (use_cache) merge_cache(cache);
     return;
   }
 
@@ -330,54 +319,17 @@ void Pipeline::ProcessBatchInto(std::span<const net::Packet> packets,
 
   auto& pool = options.pool != nullptr ? *options.pool : common::WorkerPool::Shared();
   pool.ParallelFor(shards, [&](int shard) {
-    FlowDecisionCache cache(use_cache ? static_cast<std::size_t>(options.flow_cache_slots)
-                                      : 16);
-    FlowDecisionCache* cache_ptr = use_cache ? &cache : nullptr;
     std::optional<compiler::ExecContext> exec;
     if (plan_cache != nullptr) exec.emplace(*plan_cache);
     const auto& indices = shard_indices[static_cast<std::size_t>(shard)];
     for (const std::uint32_t index : indices) {
-      ProcessOne(packets[index], results[index], cache_ptr, exec ? &*exec : nullptr);
+      ProcessOne(packets[index], results[index], exec ? &*exec : nullptr);
     }
     if (exec) exec->Flush(*this);
-    if (use_cache) merge_cache(cache);
     // Fused accounting: the sink runs here, on the worker, while other
     // shards are still serving — no serial post-pass on the caller.
     if (options.result_sink) options.result_sink(indices, results.first(packets.size()));
   });
-}
-
-void Pipeline::RecordPassPacking(const PassPackingStats& stats) {
-  if (stats.sequential != 0) passes_sequential_.Add(stats.sequential);
-  if (stats.packed != 0) passes_packed_.Add(stats.packed);
-  if (stats.reject_field_conflict != 0) {
-    pack_reject_conflict_.Add(stats.reject_field_conflict);
-  }
-  if (stats.reject_drop_gate != 0) pack_reject_gate_.Add(stats.reject_drop_gate);
-  if (stats.fallback_sequential != 0) pack_fallback_.Add(stats.fallback_sequential);
-  if (stats.xt_allocations != 0) xt_allocations_.Add(stats.xt_allocations);
-  if (stats.xt_windows_opened != 0) xt_windows_opened_.Add(stats.xt_windows_opened);
-  if (stats.xt_windows_joined != 0) xt_windows_joined_.Add(stats.xt_windows_joined);
-  if (stats.xt_fallback != 0) xt_fallback_.Add(stats.xt_fallback);
-}
-
-void Pipeline::RecordXtCompaction(std::uint64_t passes_saved) {
-  xt_compactions_.Add(1);
-  if (passes_saved != 0) xt_compaction_saved_.Add(passes_saved);
-}
-
-Pipeline::PassPackingStats Pipeline::pass_packing() const {
-  PassPackingStats stats;
-  stats.sequential = passes_sequential_.Value();
-  stats.packed = passes_packed_.Value();
-  stats.reject_field_conflict = pack_reject_conflict_.Value();
-  stats.reject_drop_gate = pack_reject_gate_.Value();
-  stats.fallback_sequential = pack_fallback_.Value();
-  stats.xt_allocations = xt_allocations_.Value();
-  stats.xt_windows_opened = xt_windows_opened_.Value();
-  stats.xt_windows_joined = xt_windows_joined_.Value();
-  stats.xt_fallback = xt_fallback_.Value();
-  return stats;
 }
 
 void Pipeline::ExportMetrics(common::metrics::Registry& registry) const {
@@ -389,29 +341,6 @@ void Pipeline::ExportMetrics(common::metrics::Registry& registry) const {
   registry.GetCounter("pipeline.drops.injected_fault").Set(drops_injected_.Value());
   registry.GetCounter("pipeline.recirculations").Set(recirculations_.Value());
   registry.GetCounter("pipeline.batches").Set(batches_.Value());
-  registry.GetCounter("pipeline.cache.hits").Set(cache_hits_.Value());
-  registry.GetCounter("pipeline.cache.misses").Set(cache_misses_.Value());
-  registry.GetCounter("pipeline.cache.evictions").Set(cache_evictions_.Value());
-  registry.GetCounter("pipeline.passes.sequential").Set(passes_sequential_.Value());
-  registry.GetCounter("pipeline.passes.packed").Set(passes_packed_.Value());
-  registry.GetCounter("pipeline.passes.saved")
-      .Set(passes_sequential_.Value() - passes_packed_.Value());
-  registry.GetCounter("pipeline.passes.merge_rejects.field_conflict")
-      .Set(pack_reject_conflict_.Value());
-  registry.GetCounter("pipeline.passes.merge_rejects.drop_gate")
-      .Set(pack_reject_gate_.Value());
-  registry.GetCounter("pipeline.passes.fallback_sequential").Set(pack_fallback_.Value());
-  if (config_.cross_tenant_packing) {
-    // Conditional like compiler.*: only cross-tenant runs carry the
-    // parallelism.xt.* family, so per-tenant baselines stay unchanged.
-    registry.GetCounter("parallelism.xt.allocations").Set(xt_allocations_.Value());
-    registry.GetCounter("parallelism.xt.windows_opened").Set(xt_windows_opened_.Value());
-    registry.GetCounter("parallelism.xt.windows_joined").Set(xt_windows_joined_.Value());
-    registry.GetCounter("parallelism.xt.fallback").Set(xt_fallback_.Value());
-    registry.GetCounter("parallelism.xt.compactions").Set(xt_compactions_.Value());
-    registry.GetCounter("parallelism.xt.compaction_passes_saved")
-        .Set(xt_compaction_saved_.Value());
-  }
   if (plan_cache_ != nullptr) {
     registry.GetCounter("compiler.plans_compiled").Set(plan_cache_->PlansCompiled());
     registry.GetCounter("compiler.recompiles").Set(plan_cache_->Recompiles());
@@ -421,6 +350,8 @@ void Pipeline::ExportMetrics(common::metrics::Registry& registry) const {
     registry.GetCounter("compiler.dead_tables_eliminated")
         .Set(plan_cache_->DeadTablesEliminated());
     registry.GetCounter("compiler.folded_tables").Set(plan_cache_->FoldedTables());
+    registry.GetCounter("compiler.interpreted_packets")
+        .Set(plan_cache_->InterpretedPackets());
   }
   for (const auto& stage : stages_) {
     const std::string prefix = "pipeline.stage" + std::to_string(stage.index()) + ".";

@@ -15,7 +15,6 @@
 
 #include "common/metrics.h"
 #include "common/worker_pool.h"
-#include "switchsim/flow_cache.h"
 #include "switchsim/table.h"
 #include "switchsim/timing.h"
 #include "switchsim/types.h"
@@ -131,7 +130,8 @@ struct ProcessResult {
   bool parse_error = false;
 };
 
-/// Options for the batched processing path.
+/// Options for the batched processing path. Results are bit-identical
+/// to the scalar path for every setting.
 struct BatchOptions {
   /// Worker shards to split the batch into; 0 = common::DefaultParallelism().
   int num_threads = 0;
@@ -140,10 +140,6 @@ struct BatchOptions {
   int min_parallel_batch = 64;
   /// Pool to run on; nullptr = the process-wide shared pool.
   common::WorkerPool* pool = nullptr;
-  /// Slots of each worker's flow decision cache (rounded up to a power
-  /// of two); <= 0 disables memoization. Results are bit-identical
-  /// either way — the cache only skips re-resolving lookups.
-  int flow_cache_slots = static_cast<int>(FlowDecisionCache::kDefaultSlots);
   /// Optional per-worker result sink: after a worker finishes its
   /// shard, the sink runs on that worker's thread with the shard's
   /// input indices and the full (input-ordered) result array, so
@@ -203,60 +199,13 @@ class Pipeline {
   std::uint64_t packets_dropped_by(DropReason reason) const;
   std::uint64_t recirculations() const { return recirculations_.Value(); }
   std::uint64_t batches_processed() const { return batches_.Value(); }
-  /// Flow-decision-cache totals aggregated over all batch workers
-  /// (exported as pipeline.cache.*).
-  std::uint64_t flow_cache_hits() const { return cache_hits_.Value(); }
-  std::uint64_t flow_cache_misses() const { return cache_misses_.Value(); }
-  std::uint64_t flow_cache_evictions() const { return cache_evictions_.Value(); }
-
-  /// Pass-packing tallies from the data plane's allocator (exported as
-  /// pipeline.passes.*; see docs/METRICS.md). All zero unless
-  /// SwitchConfig::nf_parallelism allocations happened.
-  struct PassPackingStats {
-    /// Passes the chain-order reference plan would have used.
-    std::uint64_t sequential = 0;
-    /// Passes the installed (packed) plan uses.
-    std::uint64_t packed = 0;
-    /// Adjacent-NF merges rejected by a field-level conflict.
-    std::uint64_t reject_field_conflict = 0;
-    /// Merges rejected because a drop decision gates a stateful NF.
-    std::uint64_t reject_drop_gate = 0;
-    /// Packed plans discarded for the sequential reference (the
-    /// never-worse fallback: greedy packing needed more passes).
-    std::uint64_t fallback_sequential = 0;
-    /// Cross-tenant co-scheduling tallies (parallelism.xt.*; all zero
-    /// unless SwitchConfig::cross_tenant_packing).
-    /// Allocations that installed the co-scheduled plan.
-    std::uint64_t xt_allocations = 0;
-    /// Placements that opened a new (pass, stage) window.
-    std::uint64_t xt_windows_opened = 0;
-    /// Placements that joined a window another tenant already holds.
-    std::uint64_t xt_windows_joined = 0;
-    /// Co-scheduled plans discarded for the per-tenant reference (the
-    /// never-worse fallback: co-scheduling needed more passes).
-    std::uint64_t xt_fallback = 0;
-  };
-  /// Accumulates one allocation's packing tallies (data plane only).
-  void RecordPassPacking(const PassPackingStats& stats);
-  PassPackingStats pass_packing() const;
-
-  /// Accumulates one departure-time window-compaction move that
-  /// re-provisioned a tenant into `passes_saved` fewer passes
-  /// (SfpSystem only; exported as parallelism.xt.compaction*).
-  void RecordXtCompaction(std::uint64_t passes_saved);
-  std::uint64_t xt_compactions() const { return xt_compactions_.Value(); }
-  std::uint64_t xt_compaction_passes_saved() const {
-    return xt_compaction_saved_.Value();
-  }
-
   /// Turns on the per-tenant pipeline compiler (docs/COMPILER.md):
   /// batch workers serve tenants whose rules lift cleanly from a
   /// CompiledPlan and interpret the rest. Results, drops, and counters
   /// are bit-identical to the interpreted path. `metadata` carries the
   /// NF library's action traits (action_traits.h); actions without
-  /// traits are treated as opaque calls. Opt-in: without this call the
-  /// pipeline behaves exactly as before (including the per-worker flow
-  /// decision cache, which the compiled path supersedes).
+  /// traits are treated as opaque calls. Opt-in: without this call
+  /// every packet is interpreted.
   void EnableCompiler(compiler::ActionMetadata metadata);
   /// Drops the plan cache and reverts every tenant to interpretation.
   void DisableCompiler();
@@ -279,7 +228,8 @@ class Pipeline {
   /// Snapshots the pipeline's counters (packets, drops, recirculations,
   /// batches, per-stage/per-table hits and misses, and compiler.* when
   /// the compiler is enabled) into `registry` under the names
-  /// documented in docs/METRICS.md.
+  /// documented in docs/METRICS.md. The allocator's pass-packing
+  /// tallies are the data plane's to export, not the pipeline's.
   void ExportMetrics(common::metrics::Registry& registry) const;
 
   /// Total blocks used across stages (utilization numerator of Fig. 6).
@@ -288,18 +238,16 @@ class Pipeline {
   std::int64_t TotalEntriesUsed() const;
 
  private:
-  /// Scalar serve path shared by Process and the batch workers; only
-  /// touches shared state through atomics and the tables' shared locks.
-  /// `cache` is the calling worker's private flow decision cache
-  /// (nullptr on the scalar path). `exec` is the calling batch worker's
-  /// compiled-plan context: when set and the packet's tenant has a
-  /// valid plan, the packet is served by ExecuteCompiled instead of the
-  /// interpreter loop below. Writes every field of `result` (its prior
-  /// contents are irrelevant), so the batch path serves straight into
-  /// reusable result buffers — no per-packet ProcessResult is moved,
-  /// copied, or re-zeroed.
+  /// Serve path shared by Process and the batch workers; only touches
+  /// shared state through atomics and the tables' shared locks. `exec`
+  /// is the calling batch worker's compiled-plan context (nullptr on
+  /// the scalar path and while the compiler is off): when the packet's
+  /// tenant has a valid plan, ExecuteCompiled serves it; otherwise the
+  /// interpreter loop below does, and `exec` counts it. Writes every
+  /// field of `result` (its prior contents are irrelevant), so the
+  /// batch path serves straight into reusable result buffers — no
+  /// per-packet ProcessResult is moved, copied, or re-zeroed.
   void ProcessOne(const net::Packet& packet, ProcessResult& result,
-                  FlowDecisionCache* cache = nullptr,
                   compiler::ExecContext* exec = nullptr);
 
   /// Compiled serve path (defined in compiler/exec.cc): runs `packet`
@@ -332,20 +280,6 @@ class Pipeline {
   common::metrics::RelaxedCounter drops_injected_;
   common::metrics::RelaxedCounter recirculations_;
   common::metrics::RelaxedCounter batches_;
-  common::metrics::RelaxedCounter cache_hits_;
-  common::metrics::RelaxedCounter cache_misses_;
-  common::metrics::RelaxedCounter cache_evictions_;
-  common::metrics::RelaxedCounter passes_sequential_;
-  common::metrics::RelaxedCounter passes_packed_;
-  common::metrics::RelaxedCounter pack_reject_conflict_;
-  common::metrics::RelaxedCounter pack_reject_gate_;
-  common::metrics::RelaxedCounter pack_fallback_;
-  common::metrics::RelaxedCounter xt_allocations_;
-  common::metrics::RelaxedCounter xt_windows_opened_;
-  common::metrics::RelaxedCounter xt_windows_joined_;
-  common::metrics::RelaxedCounter xt_fallback_;
-  common::metrics::RelaxedCounter xt_compactions_;
-  common::metrics::RelaxedCounter xt_compaction_saved_;
   /// Virtual time at which the recirculation port next frees up.
   common::metrics::RelaxedDouble recirc_busy_until_ns_;
   /// Set by EnableCompiler; shared with the batch workers' per-shard

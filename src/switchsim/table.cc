@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/faultinject.h"
-#include "switchsim/flow_cache.h"
 
 namespace sfp::switchsim {
 
@@ -54,8 +53,8 @@ void MatchActionTable::SetDefaultAction(ActionId action, ActionArgs args) {
   SFP_CHECK_GE(action, 0);
   SFP_CHECK_LT(static_cast<std::size_t>(action), actions_.size());
   default_action_ = {action, std::move(args)};
-  // Every tenant's misses run the default: memoized miss decisions and
-  // every compiled plan must re-resolve.
+  // Every tenant's misses run the default: every compiled plan must
+  // re-resolve.
   shared_tenant_epoch_ = epoch_.Value() + 1;
   BumpEpoch();
 }
@@ -216,9 +215,10 @@ std::size_t MatchActionTable::RemoveTenantEntries(std::uint16_t tenant) {
   const std::size_t removed = before - entries_.size();
   if (removed > 0) {
     RebuildIndexLocked();
-    // No epoch bump when nothing was removed: departures of tenants
-    // with no rules in this table must not invalidate everyone's
-    // cached decisions.
+    // No epoch bump when nothing was removed: a departure that held
+    // no rules here must not move the pipeline-wide counter, which
+    // would send every other tenant's plan from the one-load Validate
+    // fast path to a stamp sweep.
     BumpEpoch();
   }
   return removed;
@@ -350,42 +350,13 @@ const TableEntry* MatchActionTable::LookupReferenceLocked(const std::uint64_t* v
   return best;
 }
 
-bool MatchActionTable::Apply(net::Packet& packet, PacketMeta& meta,
-                             FlowDecisionCache* cache) {
+bool MatchActionTable::Apply(net::Packet& packet, PacketMeta& meta) {
   // Held across the action so the winning entry's args cannot be
-  // removed mid-execution by a concurrent tenant departure. The epoch
-  // is read under the same lock, so a cached decision validated here
-  // cannot refer to an entry a concurrent departure is freeing.
+  // removed mid-execution by a concurrent tenant departure.
   std::shared_lock lock(entries_mutex_);
   std::uint64_t values[kMaxKeyFields];
   ExtractKey(packet, meta, values);
-
-  const TableEntry* entry = nullptr;
-  bool resolved = false;
-  if (cache != nullptr) {
-    const std::uint64_t epoch = epoch_.Value();
-    if (const auto* decision = cache->Find(this, values, key_.size(), epoch)) {
-      if (decision->hit) {
-        // Epoch equality means no mutation since the decision was
-        // stored, so the memoized index still names the same entry;
-        // the handle check makes that assumption explicit.
-        SFP_CHECK_LT(decision->entry_index, entries_.size());
-        entry = &entries_[decision->entry_index];
-        SFP_CHECK_EQ(entry->handle, decision->handle);
-      }
-      resolved = true;
-    }
-    if (!resolved) {
-      entry = LookupIndexedLocked(values);
-      cache->Store(this, values, key_.size(), epoch, entry,
-                   entry != nullptr
-                       ? static_cast<std::size_t>(entry - entries_.data())
-                       : 0);
-      resolved = true;
-    }
-  }
-  if (!resolved) entry = LookupIndexedLocked(values);
-
+  const TableEntry* entry = LookupIndexedLocked(values);
   if (entry != nullptr) {
     hits_.Add(1);
     actions_[static_cast<std::size_t>(entry->action)](packet, meta, entry->args);

@@ -28,13 +28,11 @@
 // installation/removal — tenant admission and departure — takes the
 // lock exclusively, mirroring a switch ASIC's lock-free lookups with
 // serialized control-plane writes. Every mutation bumps a per-table
-// epoch counter; the flow decision cache (flow_cache.h) uses it to
-// invalidate memoized decisions when the control plane changes the
-// table.
+// epoch counter.
 //
-// Compiled plans go stale per tenant instead (docs/COMPILER.md): the
-// exact tenant field keeps one tenant's entries from ever matching
-// another tenant's packets, so each mutation also stamps the epoch it
+// Compiled plans go stale per tenant (docs/COMPILER.md): the exact
+// tenant field keeps one tenant's entries from ever matching another
+// tenant's packets, so each mutation also stamps the epoch it
 // publishes on the one tenant it can affect — or, for a default-action
 // change or an entry that wildcards the tenant field, on every tenant.
 // TenantEpoch(t) and Snapshot(t) read those stamps, so one tenant's
@@ -77,8 +75,6 @@ inline constexpr EntryHandle kInvalidEntryHandle = 0;
 /// Upper bound on key fields per table (fits every NF key plus the
 /// (tenant, pass) prefix with room to spare).
 inline constexpr std::size_t kMaxKeyFields = 16;
-
-class FlowDecisionCache;
 
 /// One installed rule.
 struct TableEntry {
@@ -131,12 +127,10 @@ class MatchActionTable {
   const TableEntry* LookupReference(const net::Packet& packet,
                                     const PacketMeta& meta) const;
 
-  /// Lookup + action execution (default action on miss). Returns true
-  /// if an installed entry was hit. When `cache` is non-null the
-  /// resolved decision is memoized per (table, key tuple) and replayed
-  /// while the table's epoch is unchanged (see flow_cache.h); results
-  /// and counters are bit-identical either way.
-  bool Apply(net::Packet& packet, PacketMeta& meta, FlowDecisionCache* cache = nullptr);
+  /// Lookup + action execution (default action on miss): the
+  /// interpreter's step for one table. Returns true if an installed
+  /// entry was hit.
+  bool Apply(net::Packet& packet, PacketMeta& meta);
 
   const std::string& name() const { return name_; }
   const std::vector<MatchFieldSpec>& key() const { return key_; }
@@ -158,8 +152,8 @@ class MatchActionTable {
   std::uint64_t default_hit_count() const { return default_hits_.Value(); }
 
   /// Mutation epoch: bumped by every AddEntry/RemoveEntry/
-  /// RemoveTenantEntries/SetDefaultAction that changes the table.
-  /// Cached decisions stamped with an older epoch are invalid.
+  /// RemoveTenantEntries/SetDefaultAction that changes the table. The
+  /// per-tenant stamps below are drawn from it.
   std::uint64_t epoch() const { return epoch_.Value(); }
 
   /// The epoch of the last mutation that could change how `tenant`'s

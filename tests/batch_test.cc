@@ -2,7 +2,9 @@
 // scalar Process loop for every batch size and thread count, and the
 // serve path must tolerate concurrent tenant admission/departure
 // (run under ThreadSanitizer to check the locking discipline).
+#include <array>
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -240,7 +242,12 @@ TEST(BatchStressTest, ConcurrentProcessAndAdmitRemove) {
   options.num_threads = 4;
   options.min_parallel_batch = 1;
   options.pool = &pool;
-  for (int round = 0; round < 30; ++round) {
+  // Serve at least 30 rounds, and keep serving until the control
+  // thread has churned a few times: on a loaded host all 30 can
+  // otherwise end before it is first scheduled.
+  for (int round = 0;
+       round < 30 || churns.load(std::memory_order_relaxed) < 3; ++round) {
+    ASSERT_LT(round, 5000) << "churn thread never made progress";
     const auto results = system.ProcessBatch(workload, options);
     ASSERT_EQ(results.size(), workload.size());
     // Tenant 9 installs no overlapping rules for tenants 1..3 (their
@@ -268,6 +275,28 @@ TEST(WorkerPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   pool.ParallelFor(17, [&](int) { total.fetch_add(1); });
   pool.ParallelFor(0, [&](int) { total.fetch_add(1000); });
   EXPECT_EQ(total.load(), 17);
+}
+
+// A worker that wakes late for a finished job must neither run that
+// job's task nor claim the next job's indices. Two tasks alternate, so
+// a stale worker running the other task leaves an index of this job
+// unrun (or runs the other job's index twice).
+TEST(WorkerPoolTest, BackToBackJobsRunOnlyTheirOwnTask) {
+  common::WorkerPool pool(4);
+  constexpr int kIndices = 4;
+  std::array<std::array<std::atomic<int>, kIndices>, 2> hits{};
+  std::array<std::function<void(int)>, 2> tasks;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    tasks[t] = [&hits, t](int i) { hits[t][static_cast<std::size_t>(i)].fetch_add(1); };
+  }
+  for (int job = 0; job < 5000; ++job) {
+    auto& mine = hits[static_cast<std::size_t>(job % 2)];
+    for (auto& hit : mine) hit.store(0);
+    pool.ParallelFor(kIndices, tasks[static_cast<std::size_t>(job % 2)]);
+    for (int i = 0; i < kIndices; ++i) {
+      ASSERT_EQ(mine[static_cast<std::size_t>(i)].load(), 1) << "job " << job << " index " << i;
+    }
+  }
 }
 
 TEST(WorkerPoolTest, SingleThreadPoolRunsOnCaller) {

@@ -140,17 +140,14 @@ Outcome Of(const switchsim::ProcessResult& result) {
 }
 
 /// Every exported counter except the families the compiler is
-/// *allowed* to change: its own compiler.* stats, the interpreter's
-/// flow-decision cache (the compiled path bypasses that cache by
-/// design; see docs/COMPILER.md "What is and isn't identical"), and
-/// pipeline.batches (these tests serve one side scalar, one batched).
+/// *allowed* to change: its own compiler.* stats, and pipeline.batches
+/// (these tests serve one side scalar, one batched).
 std::map<std::string, std::uint64_t> ComparableCounters(const SfpSystem& system) {
   common::metrics::Registry registry;
   system.ExportMetrics(registry);
   std::map<std::string, std::uint64_t> counters;
   for (const auto& snapshot : registry.Counters()) {
     if (snapshot.name.starts_with("compiler.")) continue;
-    if (snapshot.name.starts_with("pipeline.cache.")) continue;
     if (snapshot.name == "pipeline.batches") continue;
     counters.emplace(snapshot.name, snapshot.value);
   }
@@ -188,25 +185,23 @@ TEST(CompiledEquivalenceTest, RandomizedBitIdenticalAcrossThreads) {
     }
 
     // Aggregate counters (pipeline, per-table, telemetry, admission)
-    // must agree exactly; only compiler.* / pipeline.cache.* may
-    // differ between the two paths.
+    // must agree exactly; only compiler.* may differ between the two
+    // paths.
     EXPECT_EQ(ComparableCounters(compiled), ComparableCounters(interpreted))
         << "threads=" << threads;
 
     // And the compiled system must actually have served compiled: every
     // admitted tenant compiles (no fallbacks). Single-threaded, not one
-    // packet may fall back to the interpreter's flow-decision cache:
-    // later admissions leave earlier tenants' admit-time plans valid,
-    // since plans go stale per tenant. Multi-threaded, compile-lock
-    // contention may interpret a few.
+    // packet may fall back to the interpreter: later admissions leave
+    // earlier tenants' admit-time plans valid, since plans go stale per
+    // tenant. Multi-threaded, compile-lock contention may interpret a
+    // few.
     common::metrics::Registry registry;
     compiled.ExportMetrics(registry);
     EXPECT_GE(registry.GetCounter("compiler.plans_compiled").Value(), 6u);
     EXPECT_EQ(registry.GetCounter("compiler.fallback_tenants").Value(), 0u);
     if (threads == 1) {
-      EXPECT_EQ(registry.GetCounter("pipeline.cache.hits").Value() +
-                    registry.GetCounter("pipeline.cache.misses").Value(),
-                0u);
+      EXPECT_EQ(registry.GetCounter("compiler.interpreted_packets").Value(), 0u);
     }
   }
 }

@@ -157,6 +157,7 @@ TEST(LiftTest, EntryWildcardingThePrefixFallsBackToTheInterpreter) {
   BatchOptions serve;
   serve.num_threads = 1;
   ASSERT_EQ(pipeline.ProcessBatch({&packet, 1}, serve)[0].meta.egress_port, 7);
+  EXPECT_EQ(cache->InterpretedPackets(), 0u);
 
   // Installed with no DataPlane hook: tenant = Any, pass 0, deny,
   // outranking tenant 1's catch-all.
@@ -175,6 +176,9 @@ TEST(LiftTest, EntryWildcardingThePrefixFallsBackToTheInterpreter) {
   const ProcessResult compiled = pipeline.ProcessBatch({&packet, 1}, serve)[0];
   EXPECT_TRUE(compiled.meta.dropped);
   EXPECT_EQ(compiled.meta.egress_port, interpreted.meta.egress_port);
+  // The batch found no valid plan and interpreted the packet; the
+  // scalar Process call above is not counted.
+  EXPECT_EQ(cache->InterpretedPackets(), 1u);
   EXPECT_FALSE(cache->Warm(1));
   EXPECT_EQ(cache->FallbackTenants(), 1u);
   const auto lifted = LiftTenant(pipeline, 1, nullptr);

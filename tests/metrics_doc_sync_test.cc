@@ -1,5 +1,6 @@
 // docs/METRICS.md must document every counter and histogram
-// SfpSystem::ExportMetrics emits. The "Exported counters" and
+// SfpSystem::ExportMetrics emits, and every documented pipeline.* and
+// compiler.* counter must be emitted. The "Exported counters" and
 // "Exported histograms" tables name series in backticks, with two
 // shorthands this test expands:
 //   * `a.b.c` / `.d` — a name starting with '.' replaces the last
@@ -8,6 +9,7 @@
 //     other <...>) for a table-style identifier.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -118,15 +120,10 @@ TEST(MetricsDocSyncTest, ShorthandExpands) {
   EXPECT_FALSE(std::regex_match("p.stage3.fw_s3.hitsx", NamePattern(names[2])));
 }
 
-TEST(MetricsDocSyncTest, EverySystemCounterIsDocumented) {
-  const std::string doc = ReadMetricsDoc();
-  const auto counters = Patterns(DocumentedNames(doc, "## Exported counters"));
-  const auto histograms = Patterns(DocumentedNames(doc, "## Exported histograms"));
-  ASSERT_FALSE(counters.empty()) << "docs/METRICS.md has no exported-counter table";
-  ASSERT_FALSE(histograms.empty()) << "docs/METRICS.md has no exported-histogram table";
-
-  // A system that admits, rejects, serves compiled, re-provisions and
-  // departs, with every optional counter family switched on.
+/// Exports a system that admits, rejects, serves compiled,
+/// re-provisions and departs, with every optional counter family
+/// switched on.
+void ExportAllFamilies(common::metrics::Registry& registry) {
   switchsim::SwitchConfig config;
   config.num_stages = 8;
   config.backplane_gbps = 100.0;
@@ -154,9 +151,18 @@ TEST(MetricsDocSyncTest, EverySystemCounterIsDocumented) {
   system.ProcessBatch(packets);
   ASSERT_TRUE(system.ReprovisionTenant(admitted[0]).ok);
   ASSERT_TRUE(system.RemoveTenant(admitted[1].tenant));
+  system.ExportMetrics(registry);
+}
+
+TEST(MetricsDocSyncTest, EverySystemCounterIsDocumented) {
+  const std::string doc = ReadMetricsDoc();
+  const auto counters = Patterns(DocumentedNames(doc, "## Exported counters"));
+  const auto histograms = Patterns(DocumentedNames(doc, "## Exported histograms"));
+  ASSERT_FALSE(counters.empty()) << "docs/METRICS.md has no exported-counter table";
+  ASSERT_FALSE(histograms.empty()) << "docs/METRICS.md has no exported-histogram table";
 
   common::metrics::Registry registry;
-  system.ExportMetrics(registry);
+  ASSERT_NO_FATAL_FAILURE(ExportAllFamilies(registry));
   const auto exported = registry.Counters();
   EXPECT_GT(exported.size(), 50u);
   for (const auto& counter : exported) {
@@ -168,6 +174,24 @@ TEST(MetricsDocSyncTest, EverySystemCounterIsDocumented) {
     EXPECT_TRUE(Documented(histogram.name, histograms))
         << "histogram " << histogram.name << " is exported but has no docs/METRICS.md row";
   }
+}
+
+// The reverse direction for the families the system owns outright: a
+// row left behind for a deleted pipeline.* or compiler.* counter fails.
+TEST(MetricsDocSyncTest, EveryDocumentedPipelineAndCompilerCounterIsEmitted) {
+  common::metrics::Registry registry;
+  ASSERT_NO_FATAL_FAILURE(ExportAllFamilies(registry));
+  const auto exported = registry.Counters();
+  std::size_t checked = 0;
+  for (const auto& name : DocumentedNames(ReadMetricsDoc(), "## Exported counters")) {
+    if (!name.starts_with("pipeline.") && !name.starts_with("compiler.")) continue;
+    ++checked;
+    const std::regex pattern = NamePattern(name);
+    EXPECT_TRUE(std::any_of(exported.begin(), exported.end(), [&](const auto& counter) {
+      return std::regex_match(counter.name, pattern);
+    })) << "docs/METRICS.md documents " << name << " but the system never emits it";
+  }
+  EXPECT_GT(checked, 20u);
 }
 
 }  // namespace

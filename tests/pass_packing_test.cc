@@ -149,7 +149,7 @@ TEST(PassPackingTest, FieldConflictFallsBackToSequentialLayout) {
   EXPECT_EQ(result.placements[1].stage, 0);
   EXPECT_EQ(result.placements[1].pass, 1);
 
-  const auto stats = dp.pipeline().pass_packing();
+  const auto stats = dp.pass_packing();
   EXPECT_GE(stats.reject_field_conflict, 1u);
   EXPECT_EQ(stats.fallback_sequential, 1u);
 }
@@ -171,7 +171,7 @@ TEST(PassPackingTest, DropGateKeepsStatefulNfOrdered) {
   const auto result = dp.AllocateSfc(sfc);
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.passes, 2);
-  EXPECT_GE(dp.pipeline().pass_packing().reject_drop_gate, 1u);
+  EXPECT_GE(dp.pass_packing().reject_drop_gate, 1u);
 }
 
 TEST(PassPackingTest, SameTypeDuplicatesLandOnDistinctStages) {
@@ -280,8 +280,8 @@ TEST(PassPackingTest, PackingIsOffByDefault) {
   EXPECT_EQ(result.passes, 2);  // unchanged §IV behaviour
   EXPECT_EQ(result.sequential_passes, 2);
   // No packing stats recorded while the feature is off.
-  EXPECT_EQ(dp.pipeline().pass_packing().sequential, 0u);
-  EXPECT_EQ(dp.pipeline().pass_packing().packed, 0u);
+  EXPECT_EQ(dp.pass_packing().sequential, 0u);
+  EXPECT_EQ(dp.pass_packing().packed, 0u);
 }
 
 TEST(PassPackingTest, ExportsPassMetrics) {
@@ -299,7 +299,7 @@ TEST(PassPackingTest, ExportsPassMetrics) {
   ASSERT_TRUE(dp.AllocateSfc(sfc).ok);
 
   common::metrics::Registry registry;
-  dp.pipeline().ExportMetrics(registry);
+  dp.ExportMetrics(registry);
   std::uint64_t sequential = 0, packed = 0, saved = 0;
   bool found_saved = false;
   for (const auto& counter : registry.Counters()) {

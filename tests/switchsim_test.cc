@@ -155,6 +155,27 @@ TEST(TableTest, TenantEpochAndSnapshotArePerTenant) {
   EXPECT_EQ(flat.Snapshot(1).entries.size(), 1u);
 }
 
+// A removal that finds nothing moves neither the table's epoch nor the
+// pipeline-wide mutation counter, so a departure leaves the plans of
+// tenants it shared no table with on their one-load Validate fast path.
+TEST(TableTest, NoOpTenantRemovalKeepsEpoch) {
+  SwitchConfig config;
+  config.num_stages = 1;
+  Pipeline pipeline(config);
+  MatchActionTable& table =
+      *pipeline.stage(0).AddTable("t", {{FieldId::kDstPort, MatchKind::kExact}});
+  table.RegisterAction("noop", [](net::Packet&, PacketMeta&, const ActionArgs&) {});
+  table.AddEntry({FieldMatch::Exact(80)}, 0, {}, 0, /*owner_tenant=*/7);
+  const std::uint64_t epoch = table.epoch();
+  const std::uint64_t mutations = pipeline.table_mutation_epoch()->Value();
+  EXPECT_EQ(table.RemoveTenantEntries(99), 0u);  // tenant holds nothing here
+  EXPECT_EQ(table.epoch(), epoch);
+  EXPECT_EQ(pipeline.table_mutation_epoch()->Value(), mutations);
+  EXPECT_EQ(table.RemoveTenantEntries(7), 1u);
+  EXPECT_GT(table.epoch(), epoch);
+  EXPECT_GT(pipeline.table_mutation_epoch()->Value(), mutations);
+}
+
 TEST(TableTest, NeedsTcamDetection) {
   MatchActionTable exact("e", {{FieldId::kDstIp, MatchKind::kExact}});
   MatchActionTable ternary("t", {{FieldId::kDstIp, MatchKind::kTernary}});

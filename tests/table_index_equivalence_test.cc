@@ -4,14 +4,12 @@
 // through both the indexed Lookup path and the reference linear scan
 // (LookupReference), asserting identical winning entries and identical
 // hit/miss/default counters. The parameterized suite totals 10k+
-// randomized lookup rounds. Also covers the per-worker flow decision
-// cache: epoch invalidation on admission/departure, replay identity,
-// and the pipeline.cache.* counter export.
+// randomized lookup rounds. Also covers default-action accounting and
+// its per-table export.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "net/packet.h"
-#include "switchsim/flow_cache.h"
 #include "switchsim/pipeline.h"
 #include "switchsim/table.h"
 
@@ -232,173 +230,14 @@ TEST(WildcardExactTest, CatchAllOnExactKeyFieldIsReachable) {
   EXPECT_EQ(probe(7, 0, 0xC0A80001), nullptr);
 }
 
-// The cached Apply path must produce decisions and counters identical
-// to the uncached one, for the same random workload.
-class CachedApplyEquivalenceTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(CachedApplyEquivalenceTest, CachedApplyMatchesUncached) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 5);
-  const auto spec = RandomSpec(rng);
-  std::vector<MatchFieldSpec> key;
-  for (const auto& domain : spec) key.push_back({domain.field, domain.kind});
-  MatchActionTable cached_table("cached", key);
-  MatchActionTable plain_table("plain", key);
-  // The action stamps which entry fired into the metadata scratch so
-  // divergence is observable.
-  for (auto* table : {&cached_table, &plain_table}) {
-    table->RegisterAction("stamp",
-                          [](net::Packet&, PacketMeta& meta, const ActionArgs& args) {
-                            meta.scratch = args.empty() ? 0 : args[0];
-                          });
-    table->SetDefaultAction(0, {0xDEFA});
-  }
-
-  FlowDecisionCache cache(64);  // small: exercises evictions too
-  std::uint64_t next_stamp = 1;
-  for (int round = 0; round < 400; ++round) {
-    if (rng.Bernoulli(0.10) || cached_table.num_entries() == 0) {
-      std::vector<FieldMatch> matches;
-      for (const auto& domain : spec) matches.push_back(RandomMatch(rng, domain));
-      const int priority = static_cast<int>(rng.UniformInt(-2, 3));
-      const ActionArgs args = {next_stamp++};
-      auto matches_copy = matches;
-      ASSERT_NE(cached_table.AddEntry(std::move(matches), 0, args, priority),
-                kInvalidEntryHandle);
-      ASSERT_NE(plain_table.AddEntry(std::move(matches_copy), 0, args, priority),
-                kInvalidEntryHandle);
-    } else if (rng.Bernoulli(0.05)) {
-      // Remove the same (synchronized) entry from both tables.
-      const auto& entries = cached_table.entries();
-      const std::size_t at = static_cast<std::size_t>(
-          rng.UniformInt(0, static_cast<std::int64_t>(entries.size()) - 1));
-      const EntryHandle cached_handle = entries[at].handle;
-      const EntryHandle plain_handle = plain_table.entries()[at].handle;
-      EXPECT_TRUE(cached_table.RemoveEntry(cached_handle));
-      EXPECT_TRUE(plain_table.RemoveEntry(plain_handle));
-    }
-
-    auto [packet, meta] = RandomPacket(rng);
-    auto cached_packet = packet;
-    auto cached_meta = meta;
-    auto plain_packet = packet;
-    auto plain_meta = meta;
-    const bool cached_hit = cached_table.Apply(cached_packet, cached_meta, &cache);
-    const bool plain_hit = plain_table.Apply(plain_packet, plain_meta);
-    ASSERT_EQ(cached_hit, plain_hit) << "round " << round;
-    ASSERT_EQ(cached_meta.scratch, plain_meta.scratch)
-        << "cached path fired a different entry at round " << round;
-  }
-  EXPECT_EQ(cached_table.hit_count(), plain_table.hit_count());
-  EXPECT_EQ(cached_table.miss_count(), plain_table.miss_count());
-  EXPECT_EQ(cached_table.default_hit_count(), plain_table.default_hit_count());
-  // The workload repeats values inside small domains, so the cache must
-  // have been exercised in both directions.
-  EXPECT_GT(cache.hits() + cache.misses(), 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomWorkloads, CachedApplyEquivalenceTest,
-                         ::testing::Range(0, 10));
-
-TEST(FlowDecisionCacheTest, EpochBumpInvalidatesExactlyThatTable) {
-  MatchActionTable table("t", {{FieldId::kDstPort, MatchKind::kExact}});
-  table.RegisterAction("stamp", [](net::Packet&, PacketMeta& meta, const ActionArgs& args) {
-    meta.scratch = args[0];
-  });
-  table.AddEntry({FieldMatch::Exact(80)}, 0, {1}, /*priority=*/0);
-
-  FlowDecisionCache cache;
-  auto packet = net::MakeTcpPacket(1, Ipv4Address::Of(1, 1, 1, 1),
-                                   Ipv4Address::Of(2, 2, 2, 2), 9, 80, 64);
-  PacketMeta meta;
-  EXPECT_TRUE(table.Apply(packet, meta, &cache));
-  EXPECT_EQ(meta.scratch, 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_TRUE(table.Apply(packet, meta, &cache));
-  EXPECT_EQ(cache.hits(), 1u);
-
-  // A higher-priority entry arrives (tenant admission): the epoch bump
-  // must force re-resolution — a stale replay would fire entry 1.
-  const std::uint64_t epoch_before = table.epoch();
-  table.AddEntry({FieldMatch::Exact(80)}, 0, {2}, /*priority=*/5);
-  EXPECT_GT(table.epoch(), epoch_before);
-  EXPECT_TRUE(table.Apply(packet, meta, &cache));
-  EXPECT_EQ(meta.scratch, 2u);
-  EXPECT_EQ(cache.misses(), 2u);
-
-  // Departure of the winning entry's owner re-resolves again.
-  table.RemoveTenantEntries(0);  // both entries are owner 0
-  EXPECT_FALSE(table.Apply(packet, meta, &cache));
-  EXPECT_EQ(table.miss_count(), 1u);
-  EXPECT_EQ(table.default_hit_count(), 0u);  // no default action set
-}
-
-TEST(FlowDecisionCacheTest, NoOpTenantRemovalKeepsEpoch) {
-  MatchActionTable table("t", {{FieldId::kDstPort, MatchKind::kExact}});
-  table.RegisterAction("noop", [](net::Packet&, PacketMeta&, const ActionArgs&) {});
-  table.AddEntry({FieldMatch::Exact(80)}, 0, {}, 0, /*owner_tenant=*/7);
-  const std::uint64_t epoch = table.epoch();
-  EXPECT_EQ(table.RemoveTenantEntries(99), 0u);  // tenant holds nothing here
-  EXPECT_EQ(table.epoch(), epoch) << "no-op removal must not invalidate caches";
-  EXPECT_EQ(table.RemoveTenantEntries(7), 1u);
-  EXPECT_GT(table.epoch(), epoch);
-}
-
-TEST(FlowDecisionCacheTest, PipelineExportsCacheCounters) {
-  SwitchConfig config;
-  config.num_stages = 2;
-  Pipeline pipeline(config);
-  auto* table = pipeline.stage(0).AddTable("t", {{FieldId::kDstPort, MatchKind::kExact}});
-  ASSERT_NE(table, nullptr);
-  table->RegisterAction("noop", [](net::Packet&, PacketMeta&, const ActionArgs&) {});
-  table->AddEntry({FieldMatch::Exact(80)}, 0);
-
-  std::vector<net::Packet> batch;
-  for (int i = 0; i < 256; ++i) {
-    batch.push_back(net::MakeTcpPacket(1, Ipv4Address::Of(10, 0, 0, 1),
-                                       Ipv4Address::Of(10, 0, 0, 2),
-                                       static_cast<std::uint16_t>(1024 + i % 8), 80, 64));
-  }
-  BatchOptions options;
-  options.num_threads = 2;
-  pipeline.ProcessBatch(batch, options);
-  // The memo key is the *extracted table key tuple* — here just the
-  // dst port, shared by all 8 flows — so each worker resolves it once
-  // and the rest of the 256 packets replay the memoized decision.
-  EXPECT_GT(pipeline.flow_cache_hits(), 0u);
-  EXPECT_GT(pipeline.flow_cache_misses(), 0u);
-
-  common::metrics::Registry registry;
-  pipeline.ExportMetrics(registry);
-  EXPECT_EQ(registry.GetCounter("pipeline.cache.hits").Value(),
-            pipeline.flow_cache_hits());
-  EXPECT_EQ(registry.GetCounter("pipeline.cache.misses").Value(),
-            pipeline.flow_cache_misses());
-  EXPECT_EQ(registry.GetCounter("pipeline.cache.evictions").Value(),
-            pipeline.flow_cache_evictions());
-  EXPECT_EQ(registry.GetCounter("pipeline.stage0.t.default_hits").Value(),
-            table->default_hit_count());
-
-  // Disabling the cache must not change results (spot check) and must
-  // not advance the cache counters.
-  const auto hits_before = pipeline.flow_cache_hits();
-  const auto misses_before = pipeline.flow_cache_misses();
-  BatchOptions no_cache = options;
-  no_cache.flow_cache_slots = 0;
-  auto uncached = pipeline.ProcessBatch(batch, no_cache);
-  auto cached = pipeline.ProcessBatch(batch, options);
-  ASSERT_EQ(uncached.size(), cached.size());
-  for (std::size_t i = 0; i < uncached.size(); ++i) {
-    EXPECT_EQ(uncached[i].packet.Serialize(), cached[i].packet.Serialize());
-    EXPECT_EQ(uncached[i].meta.dropped, cached[i].meta.dropped);
-  }
-  // Caches are per-call, so the cached batch re-resolves the shared
-  // key tuple at least once (once per worker that owns any flows).
-  EXPECT_GE(pipeline.flow_cache_misses(), misses_before + 1);
-  EXPECT_GT(pipeline.flow_cache_hits(), hits_before);
-}
-
 TEST(DefaultHitsTest, DefaultActionServesAreCountedSeparately) {
-  MatchActionTable with_default("d", {{FieldId::kDstPort, MatchKind::kExact}});
+  // The table with a default lives in a pipeline, so its export is
+  // checked too.
+  SwitchConfig config;
+  config.num_stages = 1;
+  Pipeline pipeline(config);
+  MatchActionTable& with_default =
+      *pipeline.stage(0).AddTable("d", {{FieldId::kDstPort, MatchKind::kExact}});
   with_default.RegisterAction("mark",
                               [](net::Packet&, PacketMeta& meta, const ActionArgs&) {
                                 meta.scratch = 42;
@@ -422,6 +261,11 @@ TEST(DefaultHitsTest, DefaultActionServesAreCountedSeparately) {
   EXPECT_FALSE(without_default.Apply(packet, bare));
   EXPECT_EQ(without_default.miss_count(), 1u);
   EXPECT_EQ(without_default.default_hit_count(), 0u);
+
+  common::metrics::Registry registry;
+  pipeline.ExportMetrics(registry);
+  EXPECT_EQ(registry.GetCounter("pipeline.stage0.d.misses").Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("pipeline.stage0.d.default_hits").Value(), 1u);
 }
 
 }  // namespace

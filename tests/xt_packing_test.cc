@@ -153,7 +153,7 @@ TEST(XtPackingTest, OffByDefaultMatchesPerTenantPacking) {
     }
   }
   common::metrics::Registry registry;
-  reference.pipeline().ExportMetrics(registry);
+  reference.ExportMetrics(registry);
   for (const auto& counter : registry.Counters()) {
     EXPECT_EQ(counter.name.rfind("parallelism.xt.", 0), std::string::npos)
         << counter.name << " exported with cross_tenant_packing off";
@@ -168,7 +168,7 @@ TEST(XtPackingTest, ExportsWindowMetricsWhenEnabled) {
     ASSERT_TRUE(co_sched.AllocateSfc(sfc).ok);
   }
   common::metrics::Registry registry;
-  co_sched.pipeline().ExportMetrics(registry);
+  co_sched.ExportMetrics(registry);
   std::map<std::string, std::uint64_t> counters;
   for (const auto& counter : registry.Counters()) counters[counter.name] = counter.value;
   ASSERT_TRUE(counters.count("parallelism.xt.allocations"));
@@ -260,8 +260,8 @@ TEST(XtPackingTest, DepartureCompactionRepacksFoldedTenant) {
   ASSERT_NE(allocation, nullptr);
   EXPECT_EQ(allocation->passes, 1);
   EXPECT_LT(system.Stats().backplane_gbps, charged_before);
-  EXPECT_EQ(system.data_plane().pipeline().xt_compactions(), 1u);
-  EXPECT_EQ(system.data_plane().pipeline().xt_compaction_passes_saved(), 1u);
+  EXPECT_EQ(system.data_plane().xt_compactions(), 1u);
+  EXPECT_EQ(system.data_plane().xt_compaction_passes_saved(), 1u);
   const auto issues = system.data_plane().AuditXtLedger();
   EXPECT_TRUE(issues.empty()) << issues.front();
 
@@ -284,7 +284,7 @@ TEST(XtPackingTest, NoCompactionWithoutFreedCapacity) {
   ASSERT_TRUE(system.AdmitTenant(MakeSfc(1, {OrderedFw(8), NatConfig()})).admitted);
   ASSERT_TRUE(system.AdmitTenant(MakeSfc(2, {UnorderedFw(4)})).admitted);
   ASSERT_TRUE(system.RemoveTenant(2));
-  EXPECT_EQ(system.data_plane().pipeline().xt_compactions(), 0u);
+  EXPECT_EQ(system.data_plane().xt_compactions(), 0u);
   const auto* allocation = system.data_plane().FindAllocation(1);
   ASSERT_NE(allocation, nullptr);
   EXPECT_EQ(allocation->passes, 1);

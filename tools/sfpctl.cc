@@ -2,7 +2,7 @@
 //
 //   sfpctl gen   --sfcs N [--types I] [--seed S] [--len-min A --len-max B]
 //                [--out FILE]            synthesize a placement instance
-//   sfpctl place --in FILE --algo ip|appro|greedy|anneal
+//   sfpctl place --in FILE --algo ip|appro|greedy
 //                [--passes P] [--time-limit SEC] [--no-consolidation]
 //                                         solve and print the placement
 //   sfpctl p4    --layout fw,tc/lb,rt     emit P4 for a physical layout
@@ -48,7 +48,6 @@
 #include <vector>
 
 #include "controlplane/admission_ledger.h"
-#include "controlplane/annealing_solver.h"
 #include "controlplane/approx_solver.h"
 #include "controlplane/greedy_solver.h"
 #include "controlplane/ilp_solver.h"
@@ -183,14 +182,6 @@ int CmdPlace(const std::map<std::string, std::string>& args) {
     options.memory_model = memory_model;
     const auto report = SolveGreedy(*instance, options);
     std::printf("Greedy (Algorithm 2)\n");
-    PrintSolution(*instance, report.solution, report.objective, report.seconds);
-  } else if (algo == "anneal") {
-    AnnealingOptions options;
-    options.placement.max_passes = passes;
-    options.placement.memory_model = memory_model;
-    const auto report = SolveAnnealing(*instance, options);
-    std::printf("Annealing (%d accepted / %d improving moves)\n", report.accepted_moves,
-                report.improving_moves);
     PrintSolution(*instance, report.solution, report.objective, report.seconds);
   } else {
     std::fprintf(stderr, "sfpctl place: unknown --algo %s\n", algo.c_str());
@@ -398,8 +389,7 @@ int CmdTrace(const std::map<std::string, std::string>& args) {
               static_cast<unsigned long long>(total.packets), parse_errors,
               total.MeanLatencyNs());
   PrintXtOccupancy(system.data_plane());
-  PrintStats(system, {"telemetry.", "pipeline.cache.", "pipeline.passes.",
-                      "parallelism.xt."});
+  PrintStats(system, {"telemetry.", "pipeline.passes.", "parallelism.xt."});
   return 0;
 }
 
@@ -549,7 +539,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: sfpctl <gen|place|p4|trace|scenario|churn> [--key value ...]\n"
                  "  gen   --sfcs N [--types I] [--seed S] [--out FILE]\n"
-                 "  place --in FILE --algo ip|appro|greedy|anneal [--passes P]\n"
+                 "  place --in FILE --algo ip|appro|greedy [--passes P]\n"
                  "        [--time-limit SEC] [--no-consolidation]\n"
                  "  p4    --layout fw,tc/lb,rt\n"
                  "  trace --replay FILE [--threads N] [--batch B]\n"
