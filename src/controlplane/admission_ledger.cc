@@ -51,20 +51,34 @@ AdmissionCharge AdmissionLedger::Quantize(const TenantFootprint& footprint) {
   return charge;
 }
 
-bool AdmissionLedger::Fits(const AdmissionCharge& charge) const {
+bool AdmissionLedger::Fits(const AdmissionCharge& charge,
+                           const AdmissionCharge* released) const {
   for (const auto& [stage, entries] : charge.stage_entries) {
     SFP_CHECK_GE(stage, 0);
     SFP_CHECK_LT(stage, num_stage_rows());
     const auto s = static_cast<std::size_t>(stage);
-    if (!RowFits(stage_used_[s], entries, stage_capacity_[s])) return false;
+    std::int64_t used = stage_used_[s];
+    if (released != nullptr) {
+      for (const auto& [own_stage, own] : released->stage_entries) {
+        if (own_stage == stage) used -= own;
+      }
+    }
+    if (!RowFits(used, entries, stage_capacity_[s])) return false;
   }
-  return RowFits(backplane_used_bps_, charge.backplane_bps, backplane_capacity_bps_);
+  const std::int64_t used =
+      backplane_used_bps_ - (released != nullptr ? released->backplane_bps : 0);
+  return RowFits(used, charge.backplane_bps, backplane_capacity_bps_);
+}
+
+bool AdmissionLedger::FitsReplacing(TenantKey tenant, const TenantFootprint& footprint) const {
+  const auto it = live_.find(tenant);
+  return Fits(Quantize(footprint), it != live_.end() ? &it->second : nullptr);
 }
 
 bool AdmissionLedger::TryAdmit(TenantKey tenant, const TenantFootprint& footprint) {
   SFP_CHECK_MSG(!live_.contains(tenant), "tenant already booked in the admission ledger");
   AdmissionCharge charge = Quantize(footprint);
-  if (!Fits(charge)) return false;
+  if (!Fits(charge, nullptr)) return false;
   for (const auto& [stage, entries] : charge.stage_entries) {
     stage_used_[static_cast<std::size_t>(stage)] += entries;
   }

@@ -83,7 +83,14 @@ class AdmissionLedger {
 
   /// True iff the footprint fits every row it touches next to the live
   /// set.
-  bool Fits(const TenantFootprint& footprint) const { return Fits(Quantize(footprint)); }
+  bool Fits(const TenantFootprint& footprint) const {
+    return Fits(Quantize(footprint), nullptr);
+  }
+
+  /// True iff `footprint` would fit in place of `tenant`'s booked
+  /// charge: the live set minus that charge (none when `tenant` is not
+  /// live), as a re-provision needs.
+  bool FitsReplacing(TenantKey tenant, const TenantFootprint& footprint) const;
 
   /// Books `tenant` iff its footprint fits; returns the decision.
   /// `tenant` must not be live.
@@ -108,7 +115,8 @@ class AdmissionLedger {
   }
 
  private:
-  bool Fits(const AdmissionCharge& charge) const;
+  /// `released`, when set, is a booked charge the decision discounts.
+  bool Fits(const AdmissionCharge& charge, const AdmissionCharge* released) const;
 
   std::int64_t backplane_capacity_bps_ = 0;
   std::int64_t backplane_used_bps_ = 0;

@@ -24,20 +24,8 @@ const char* AdmitCodeName(AdmitCode code) {
       return "backplane-exceeded";
     case AdmitCode::kInstallFault:
       return "install-fault";
-  }
-  return "unknown";
-}
-
-const char* ReprovisionCodeName(ReprovisionCode code) {
-  switch (code) {
-    case ReprovisionCode::kOk:
-      return "ok";
-    case ReprovisionCode::kFault:
-      return "fault";
-    case ReprovisionCode::kDiverged:
+    case AdmitCode::kDiverged:
       return "diverged";
-    case ReprovisionCode::kBackplaneExceeded:
-      return "backplane-exceeded";
   }
   return "unknown";
 }
@@ -58,12 +46,18 @@ const char* ProvisionPathName(ProvisionPath path) {
 
 namespace {
 
-/// The eq. 26 footprint of a planned or allocated chain.
-controlplane::TenantFootprint BackplaneFootprint(const dataplane::Sfc& sfc, int passes) {
-  controlplane::TenantFootprint footprint;
-  footprint.bandwidth_gbps = sfc.bandwidth_gbps;
-  footprint.passes = passes;
-  return footprint;
+/// 250 ns .. ~2 ms: plan + swap of a chain through retry backoff.
+std::unique_ptr<common::metrics::Histogram> ControlLatencyHistogram() {
+  return std::make_unique<common::metrics::Histogram>(
+      common::metrics::ExponentialBounds(250.0, 2.0, 14));
+}
+
+/// Files one wall-clock sample of a control op started at `started`.
+void ObserveSince(common::metrics::Histogram& histogram,
+                  std::chrono::steady_clock::time_point started) {
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  histogram.Observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
 }
 
 }  // namespace
@@ -72,15 +66,9 @@ SfpSystem::SfpSystem(switchsim::SwitchConfig config)
     : data_plane_(config),
       // Backplane row only: the data plane checks memory when planning.
       ledger_(controlplane::AdmissionCapacity{config.backplane_gbps, {}}),
-      // 250 ns .. ~2 ms: plan + install of a chain through retry backoff.
-      admit_latency_ns_(std::make_unique<common::metrics::Histogram>(
-          common::metrics::ExponentialBounds(250.0, 2.0, 14))) {}
-
-void SfpSystem::RecordAdmitLatency(std::chrono::steady_clock::time_point started) {
-  const auto elapsed = std::chrono::steady_clock::now() - started;
-  admit_latency_ns_->Observe(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count()));
-}
+      admit_latency_ns_(ControlLatencyHistogram()),
+      remove_latency_ns_(ControlLatencyHistogram()),
+      reprovision_latency_ns_(ControlLatencyHistogram()) {}
 
 controlplane::SfcSpec SfpSystem::ToSpec(const dataplane::Sfc& sfc) {
   controlplane::SfcSpec spec;
@@ -266,6 +254,10 @@ void SfpSystem::ExportMetrics(common::metrics::Registry& registry) const {
     registry.GetCounter("system.tenants").Set(ledger_.size());
     registry.GetHistogram("system.admit.latency_ns", admit_latency_ns_->bounds())
         .Assign(*admit_latency_ns_);
+    registry.GetHistogram("system.remove.latency_ns", remove_latency_ns_->bounds())
+        .Assign(*remove_latency_ns_);
+    registry.GetHistogram("system.reprovision.latency_ns", reprovision_latency_ns_->bounds())
+        .Assign(*reprovision_latency_ns_);
   }
 }
 
@@ -281,182 +273,147 @@ void SfpSystem::EnableCompiledPlans() {
 AdmitResult SfpSystem::AdmitTenant(const dataplane::Sfc& sfc, const AdmitOptions& options) {
   std::lock_guard<std::mutex> lock(*control_mutex_);
   const auto started = std::chrono::steady_clock::now();
-  AdmitResult result = AdmitTenantLocked(sfc, options);
-  RecordAdmitLatency(started);
-  return result;
-}
-
-AdmitResult SfpSystem::AdmitTenantLocked(const dataplane::Sfc& sfc,
-                                         const AdmitOptions& options) {
   AdmitResult result;
-  if (ledger_.Contains(sfc.tenant)) {
+  if (ledger_.Contains(sfc.tenant) || data_plane_.IsAllocated(sfc.tenant)) {
     result.code = AdmitCode::kAlreadyAdmitted;
     result.reason = "tenant already admitted";
-    rejects_already_.Add();
-    return result;
+  } else {
+    result = Transact(sfc.tenant, &sfc, options, /*reprovision=*/false);
   }
-  result.attempts = 1;
-
-  // 1. Plan the §IV allocation onto the shared pipeline (pure).
-  // Deterministic rejections (no placement, empty chain) end here.
-  const dataplane::AllocationPlan plan = data_plane_.PlanSfc(sfc);
-  if (!plan.allocation.ok) {
-    result.code = AdmitCode::kAllocationFailed;
-    result.reason = plan.allocation.error;
-    rejects_alloc_.Add();
-    return result;
+  switch (result.code) {
+    case AdmitCode::kOk:
+      admits_ok_.Add();
+      break;
+    case AdmitCode::kAlreadyAdmitted:
+      rejects_already_.Add();
+      break;
+    case AdmitCode::kAllocationFailed:
+      rejects_alloc_.Add();
+      break;
+    case AdmitCode::kBackplaneExceeded:
+      rejects_backplane_.Add();
+      break;
+    case AdmitCode::kInstallFault:
+    case AdmitCode::kDiverged:  // unreachable: an admit has nothing to restore
+      rejects_install_.Add();
+      break;
   }
-
-  // 2. eq. 26 admission control on the planned pass count:
-  // recirculated traffic competes with new inbound traffic on the
-  // backplane. Checked before any install, so a rejected tenant never
-  // becomes briefly servable and never invalidates anyone's plan.
-  const controlplane::TenantFootprint footprint =
-      BackplaneFootprint(sfc, plan.allocation.passes);
-  if (!ledger_.Fits(footprint)) {
-    result.code = AdmitCode::kBackplaneExceeded;
-    result.reason = "backplane capacity exceeded";
-    rejects_backplane_.Add();
-    return result;
-  }
-
-  // 3. Install. Transient faults (rule installs failing mid-flight;
-  // InstallSfc has already unwound the partial install, so the plan
-  // stays valid) are retried with exponential backoff.
-  const int max_attempts = std::max(1, options.max_attempts);
-  dataplane::AllocationResult allocation;
-  auto backoff = options.initial_backoff;
-  for (;; ++result.attempts) {
-    allocation = data_plane_.InstallSfc(sfc, plan);
-    if (allocation.ok || !allocation.transient()) break;
-    if (result.attempts == max_attempts) break;
-    install_retries_.Add();
-    SFP_LOG_WARN << "tenant " << sfc.tenant << " hit a transient install fault (attempt "
-                 << result.attempts << "/" << max_attempts << "): " << allocation.error;
-    if (backoff.count() > 0) {
-      std::this_thread::sleep_for(backoff);
-      backoff *= 2;
-    }
-  }
-  if (!allocation.ok) {
-    result.code = allocation.transient() ? AdmitCode::kInstallFault
-                                         : AdmitCode::kAllocationFailed;
-    result.reason = allocation.error;
-    (allocation.transient() ? rejects_install_ : rejects_alloc_).Add();
-    return result;
-  }
-
-  const bool booked = ledger_.TryAdmit(sfc.tenant, footprint);
-  SFP_CHECK_MSG(booked, "eq. 26 charge stopped fitting between plan and install");
-  const auto& charge = ledger_.tenants().at(sfc.tenant);
-  result.admitted = true;
-  result.code = AdmitCode::kOk;
-  result.passes = allocation.passes;
-  result.backplane_gbps = static_cast<double>(charge.backplane_bps) /
-                          controlplane::AdmissionLedger::kUnitsPerGbps;
-  admits_ok_.Add();
-  // Warm compile so the tenant's first served batch runs the compiled
-  // plan instead of paying a serve-path try-lock compile.
-  if (auto* cache = data_plane_.pipeline().plan_cache()) cache->Warm(sfc.tenant);
+  ObserveSince(*admit_latency_ns_, started);
   return result;
 }
 
-ReprovisionResult SfpSystem::ReprovisionTenant(const dataplane::Sfc& sfc,
-                                               const AdmitOptions& options) {
+AdmitResult SfpSystem::ReprovisionTenant(const dataplane::Sfc& sfc,
+                                         const AdmitOptions& options) {
   std::lock_guard<std::mutex> lock(*control_mutex_);
-  return ReprovisionTenantLocked(sfc, options);
-}
-
-ReprovisionResult SfpSystem::ReprovisionTenantLocked(const dataplane::Sfc& sfc,
-                                                     const AdmitOptions& options) {
-  ReprovisionResult result;
-
-  using UpdateOp = dataplane::DataPlane::UpdateOp;
-  using BatchResult = dataplane::DataPlane::BatchResult;
-  const int max_attempts = std::max(1, options.max_attempts);
-  auto backoff = options.initial_backoff;
-  BatchResult batch;
-  for (result.attempts = 1; result.attempts <= max_attempts; ++result.attempts) {
-    // Rebuilt each attempt: a diverging earlier attempt can change
-    // whether the tenant is still allocated.
-    std::vector<UpdateOp> ops;
-    if (data_plane_.IsAllocated(sfc.tenant)) {
-      ops.push_back({UpdateOp::Kind::kRemove, sfc});
-    }
-    ops.push_back({UpdateOp::Kind::kAdmit, sfc});
-    if (SFP_FAULT("core.reprovision")) {
-      batch = BatchResult{};
-      batch.error = "injected reprovision fault (core.reprovision)";
-    } else {
-      batch = data_plane_.ApplyAtomic(ops);
-    }
-    if (batch.ok ||
-        batch.consistency == BatchResult::Consistency::kDiverged) {
-      break;
-    }
-    if (result.attempts == max_attempts) break;
-    install_retries_.Add();
-    SFP_LOG_WARN << "tenant " << sfc.tenant << " re-provision attempt " << result.attempts
-                 << "/" << max_attempts << " failed: " << batch.error;
-    if (backoff.count() > 0) {
-      std::this_thread::sleep_for(backoff);
-      backoff *= 2;
-    }
-  }
-  result.attempts = std::min(result.attempts, max_attempts);
-
-  if (!batch.ok) {
-    if (batch.consistency == BatchResult::Consistency::kDiverged) {
-      // The rollback double-fault already stripped the tenant's rules;
-      // release its backplane charge so the admission ledger matches
-      // what the pipeline serves. Its telemetry series stays live (the
-      // tenant has not departed — it is broken, and a later
-      // re-provision can still repair it from scratch).
-      ledger_.Remove(sfc.tenant);
-      result.code = ReprovisionCode::kDiverged;
-    } else {
-      result.code = ReprovisionCode::kFault;
-    }
-    result.reason = batch.error;
-    return result;
-  }
-
-  const auto* allocation = data_plane_.FindAllocation(sfc.tenant);
-  SFP_CHECK_MSG(allocation != nullptr, "successful re-provision batch left no allocation");
-  result.passes = allocation->passes;
-
-  // eq. 26 re-check: folding may land the re-allocated chain on a
-  // different pass count, changing its backplane charge. The old
-  // charge is released and the new one re-offered against everyone
-  // else's.
-  ledger_.Remove(sfc.tenant);  // no-op when not booked
-  if (!ledger_.TryAdmit(sfc.tenant, BackplaneFootprint(sfc, result.passes))) {
-    data_plane_.DeallocateSfc(sfc.tenant);
-    result.code = ReprovisionCode::kBackplaneExceeded;
-    result.reason = "backplane capacity exceeded after re-provision";
-    return result;
-  }
-
-  result.ok = true;
-  result.code = ReprovisionCode::kOk;
-  if (auto* cache = data_plane_.pipeline().plan_cache()) cache->Warm(sfc.tenant);
+  const auto started = std::chrono::steady_clock::now();
+  AdmitResult result = Transact(sfc.tenant, &sfc, options, /*reprovision=*/true);
+  ObserveSince(*reprovision_latency_ns_, started);
   return result;
 }
 
 bool SfpSystem::RemoveTenant(dataplane::TenantId tenant) {
   std::lock_guard<std::mutex> lock(*control_mutex_);
-  if (!ledger_.Remove(tenant)) return false;
-  data_plane_.DeallocateSfc(tenant);
-  telemetry_.MarkDeparted(tenant);
-  if (data_plane_.pipeline().config().cross_tenant_packing) CompactAfterDeparture();
-  return true;
+  const auto started = std::chrono::steady_clock::now();
+  const bool known = ledger_.Contains(tenant);
+  if (known) {
+    Transact(tenant, nullptr, {}, /*reprovision=*/false);
+    telemetry_.MarkDeparted(tenant);
+    if (data_plane_.pipeline().config().cross_tenant_packing) CompactAfterDeparture();
+  }
+  ObserveSince(*remove_latency_ns_, started);
+  return known;
+}
+
+AdmitResult SfpSystem::Transact(dataplane::TenantId tenant, const dataplane::Sfc* desired,
+                                const AdmitOptions& options, bool reprovision) {
+  AdmitResult result;
+  result.attempts = 1;
+
+  // 1. Plan the §IV allocation against the pipeline minus the tenant's
+  // own allocation (pure). Deterministic rejections end here.
+  dataplane::AllocationPlan plan;
+  controlplane::TenantFootprint footprint;  // a departure charges nothing
+  if (desired != nullptr) {
+    plan = data_plane_.PlanSfc(*desired);
+    if (!plan.allocation.ok) {
+      result.code = AdmitCode::kAllocationFailed;
+      result.reason = plan.allocation.error;
+      return result;
+    }
+    footprint.bandwidth_gbps = desired->bandwidth_gbps;
+    footprint.passes = plan.allocation.passes;
+  }
+
+  // 2. eq. 26 on the planned pass count: recirculated traffic competes
+  // with new inbound traffic on the backplane. Checked before any
+  // table mutates, so a rejected tenant never becomes briefly
+  // servable, never invalidates anyone's plan, and a rejected
+  // re-provision keeps serving its old allocation.
+  if (!ledger_.FitsReplacing(tenant, footprint)) {
+    result.code = AdmitCode::kBackplaneExceeded;
+    result.reason = "backplane capacity exceeded";
+    return result;
+  }
+
+  // 3. Swap. A transient fault leaves the data plane as it was (the
+  // swap unwinds and restores), so the same plan is retried with
+  // exponential backoff.
+  const int max_attempts = std::max(1, options.max_attempts);
+  auto backoff = options.initial_backoff;
+  dataplane::AllocationResult swapped;
+  for (;; ++result.attempts) {
+    if (reprovision && SFP_FAULT("core.reprovision")) {
+      swapped = {};
+      swapped.code = dataplane::AllocCode::kInstallFault;
+      swapped.error = "injected reprovision fault (core.reprovision)";
+    } else {
+      swapped = data_plane_.SwapSfc(tenant, desired, desired != nullptr ? &plan : nullptr);
+    }
+    if (swapped.ok || !swapped.transient() || result.attempts == max_attempts) break;
+    install_retries_.Add();
+    SFP_LOG_WARN << "tenant " << tenant << " hit a transient fault (attempt "
+                 << result.attempts << "/" << max_attempts << "): " << swapped.error;
+    if (backoff.count() > 0) {
+      std::this_thread::sleep_for(backoff);
+      backoff *= 2;
+    }
+  }
+
+  // 4. Book exactly what is installed: the new charge after a swap,
+  // nothing after a departure or a lost tenant, and the old charge
+  // (untouched) after a failed swap that restored the old entries.
+  if (!swapped.ok) {
+    result.reason = swapped.error;
+    if (swapped.code == dataplane::AllocCode::kDiverged) {
+      // The tenant lost its rules; its telemetry series stays live (it
+      // has not departed, and a later re-provision can repair it).
+      ledger_.Remove(tenant);
+      result.code = AdmitCode::kDiverged;
+    } else {
+      result.code = swapped.transient() ? AdmitCode::kInstallFault
+                                        : AdmitCode::kAllocationFailed;
+    }
+    return result;
+  }
+  ledger_.Remove(tenant);
+  if (desired == nullptr) return result;
+  const bool booked = ledger_.TryAdmit(tenant, footprint);
+  SFP_CHECK_MSG(booked, "eq. 26 charge stopped fitting between plan and swap");
+  result.admitted = true;
+  result.passes = swapped.passes;
+  result.backplane_gbps = static_cast<double>(ledger_.tenants().at(tenant).backplane_bps) /
+                          controlplane::AdmissionLedger::kUnitsPerGbps;
+  // Warm compile so the tenant's first served batch runs the compiled
+  // plan instead of paying a serve-path try-lock compile.
+  if (auto* cache = data_plane_.pipeline().plan_cache()) cache->Warm(tenant);
+  return result;
 }
 
 void SfpSystem::CompactAfterDeparture() {
   // Bounded so a single departure cannot stall the control plane: at
-  // most this many §V-E moves per departure. Each successful move
-  // strictly reduces the population's aggregate pass count, so the
-  // loop also terminates without the bound.
+  // most this many moves per departure. Each successful move strictly
+  // reduces the population's aggregate pass count, so the loop also
+  // terminates without the bound.
   constexpr int kMaxMovesPerDeparture = 8;
   for (int move = 0; move < kMaxMovesPerDeparture; ++move) {
     const auto candidates = data_plane_.PlanCompaction();
@@ -464,19 +421,18 @@ void SfpSystem::CompactAfterDeparture() {
     const auto& best = candidates.front();
     const auto* retained = data_plane_.RetainedSfc(best.tenant);
     if (retained == nullptr) return;
-    // A copy: the re-provision batch deallocates the tenant, which
-    // destroys the retained SFC a reference would point into.
+    // A copy: the swap takes the tenant out, which destroys the
+    // retained SFC a reference would point into.
     const dataplane::Sfc sfc = *retained;
     const auto before = best.current_passes;
     // No backoff: a transiently faulted move is simply skipped — the
-    // next departure probes again. kDiverged inside the batch is
-    // handled by ReprovisionTenantLocked (admission released); the
-    // recovery loop repairs such tenants like any other structural
-    // damage.
+    // next departure probes again. A kDiverged move released the
+    // tenant's admission; the recovery loop repairs such tenants like
+    // any other structural damage.
     AdmitOptions options;
     options.max_attempts = 1;
-    const auto result = ReprovisionTenantLocked(sfc, options);
-    if (!result.ok) return;
+    const auto result = Transact(sfc.tenant, &sfc, options, /*reprovision=*/true);
+    if (!result.admitted) return;
     if (result.passes >= before) return;  // lateral move: stop compacting
     data_plane_.RecordXtCompaction(static_cast<std::uint64_t>(before - result.passes));
     SFP_LOG_DEBUG << "compacted tenant " << best.tenant << " from " << before << " to "

@@ -7,13 +7,16 @@
 //      NFs on the switch pipeline — the boot-time step of §IV. The
 //      solver path degrades gracefully (LP+rounding → greedy →
 //      static layout → structured error; see ProvisionReport).
-//   2. `AdmitTenant` / `RemoveTenant` manage logical SFCs at runtime
-//      (§V-E): admission plans the chain onto the shared physical NFs,
-//      checks eq. 26 on the planned pass count, and only then copies
-//      the tenant's rules with (tenant, pass) match prefixes and REC
-//      recirculation marks, retrying transient install faults with
-//      bounded backoff; departure releases rules, memory and backplane
-//      bandwidth and applies the telemetry retention policy.
+//   2. `AdmitTenant` / `ReprovisionTenant` / `RemoveTenant` manage
+//      logical SFCs at runtime (§V-E) through one control-plane
+//      transaction: plan the desired chain onto the shared physical
+//      NFs against the pipeline minus the tenant's own allocation,
+//      check eq. 26 on the planned pass count with the tenant's booked
+//      charge discounted, swap the allocation all-or-nothing (rules
+//      with (tenant, pass) match prefixes and REC recirculation marks;
+//      transient install faults retried with bounded backoff), then
+//      book what was installed. Departure releases rules, memory and
+//      backplane bandwidth and applies the telemetry retention policy.
 //   3. `Process` serves tenant packets through the virtualized
 //      pipeline; `ProcessBatch` serves whole batches flow-sharded
 //      across a worker pool (DESIGN.md, "Batched execution").
@@ -22,7 +25,8 @@
 // an exact controlplane::AdmissionLedger: a tenant whose folded chain
 // would push sum(passes x T) past the chip capacity is rejected even
 // when switch memory would suffice — before any of its rules reaches a
-// table, so serving never sees a rejected tenant.
+// table, so serving never sees a rejected tenant, and a rejected or
+// failed re-provision leaves the tenant serving what it served before.
 #pragma once
 
 #include <chrono>
@@ -51,18 +55,22 @@ enum class AdmitCode : std::uint8_t {
   kBackplaneExceeded,
   /// Transient rule-install faults persisted through every retry.
   kInstallFault,
+  /// A re-provision failed and so did restoring the tenant's old
+  /// entries: the tenant lost its rules and its admission (a later
+  /// re-provision may re-admit it from scratch).
+  kDiverged,
 };
 
 const char* AdmitCodeName(AdmitCode code);
 
-/// Result of an admission attempt.
+/// Result of an admission or re-provision attempt.
 struct AdmitResult {
   bool admitted = false;
   AdmitCode code = AdmitCode::kOk;
   std::string reason;           // set when rejected (for humans)
   int passes = 0;               // R_l + 1 when admitted
   double backplane_gbps = 0.0;  // capacity charged (passes * T)
-  int attempts = 0;             // allocation attempts (>1 = retried install faults)
+  int attempts = 0;             // swap attempts (>1 = retried install faults)
 };
 
 /// Retry policy for transient install faults during admission.
@@ -72,32 +80,6 @@ struct AdmitOptions {
   /// Sleep before the first retry; doubles each further retry. Zero
   /// disables sleeping (tests / chaos harness).
   std::chrono::microseconds initial_backoff{50};
-};
-
-/// Failure class of a re-provision attempt (the recovery loop's repair
-/// primitive; see docs/SCENARIOS.md).
-enum class ReprovisionCode : std::uint8_t {
-  kOk = 0,
-  /// Every attempt failed but each batch rolled back consistently: if
-  /// the tenant was allocated before, it still serves its chain.
-  kFault,
-  /// A rollback double-fault lost the tenant's rules (its admission is
-  /// released; a later re-provision may re-admit it from scratch).
-  kDiverged,
-  /// The re-allocated chain's passes would push eq. 26 past the
-  /// backplane; the tenant was deallocated and its admission released.
-  kBackplaneExceeded,
-};
-
-const char* ReprovisionCodeName(ReprovisionCode code);
-
-/// Result of a re-provision attempt.
-struct ReprovisionResult {
-  bool ok = false;
-  ReprovisionCode code = ReprovisionCode::kOk;
-  std::string reason;  // set when !ok
-  int passes = 0;      // R_l + 1 when ok
-  int attempts = 0;    // batch attempts (>1 = retried faults)
 };
 
 /// Which solver ultimately produced the physical layout.
@@ -166,12 +148,10 @@ class SfpSystem {
   void EnableCompiledPlans();
   bool compiled_plans_enabled() const { return data_plane_.compiled_plans_enabled(); }
 
-  /// Admits a tenant SFC in three steps: plan the §IV allocation
-  /// (pure), check eq. 26 on the planned pass count against the
-  /// admission ledger, then install the rules. A tenant rejected by
-  /// placement or by eq. 26 never touches a table. Transient install
-  /// faults are retried per `options`; the result carries the
-  /// structured reject code. Every call is timed
+  /// Admits a tenant SFC through the control-plane transaction. A
+  /// tenant rejected by placement or by eq. 26 never touches a table.
+  /// Transient install faults are retried per `options`; the result
+  /// carries the structured reject code. Every call is timed
   /// (system.admit.latency_ns).
   AdmitResult AdmitTenant(const dataplane::Sfc& sfc, const AdmitOptions& options = {});
 
@@ -180,29 +160,24 @@ class SfpSystem {
   /// tenant is unknown. With SwitchConfig::cross_tenant_packing the
   /// departure also runs window compaction: remaining multi-pass
   /// tenants whose chains now re-plan into fewer passes (the departed
-  /// tenant's windows freed capacity) are moved through the §V-E
-  /// atomic-update path, biggest saving first, bounded per departure.
-  /// A compaction move only ever *reduces* a tenant's pass count — and
+  /// tenant's windows freed capacity) are moved through the
+  /// transaction, biggest saving first, bounded per departure. A
+  /// compaction move only ever *reduces* a tenant's pass count — and
   /// with it its eq. 26 backplane charge — and never touches its
-  /// telemetry series.
+  /// telemetry series. Every call is timed, compaction moves included
+  /// (system.remove.latency_ns).
   bool RemoveTenant(dataplane::TenantId tenant);
 
-  /// Re-provisions a tenant through the §V-E atomic-update path: one
-  /// ApplyAtomic batch removes the current allocation (when present)
-  /// and re-admits `sfc` — the authoritative desired chain. All-or-
-  /// nothing: a failed batch rolls back, leaving a previously
-  /// allocated tenant still serving (kFault); only a rollback
-  /// double-fault loses it (kDiverged, admission released). On success
-  /// the eq. 26 charge is re-checked against the re-allocated pass
-  /// count and the ledger's charge for the tenant replaced. (The check
-  /// follows the batch: the tenant is live, so planning first would
-  /// need its own footprint discounted.) Works on tenants whose
-  /// rules were already lost (IsAllocated false ⇒ admit-only batch),
-  /// whether or not their admission record survived. Never touches the
-  /// telemetry series — a recovered tenant keeps its history. Fault
-  /// point "core.reprovision" fails an attempt before the batch runs.
-  ReprovisionResult ReprovisionTenant(const dataplane::Sfc& sfc,
-                                      const AdmitOptions& options = {});
+  /// Re-provisions a tenant to `sfc` — the authoritative desired chain
+  /// — through the control-plane transaction (§V-E runtime update). A
+  /// rejected or failed re-provision leaves the tenant serving its old
+  /// allocation with its old charge booked; only a swap whose rollback
+  /// also keeps faulting loses it (kDiverged, admission released).
+  /// Works on tenants whose rules were already lost, whether or not
+  /// their admission record survived, and never touches the telemetry
+  /// series. Fault point "core.reprovision" fails a swap attempt before
+  /// it starts. Every call is timed (system.reprovision.latency_ns).
+  AdmitResult ReprovisionTenant(const dataplane::Sfc& sfc, const AdmitOptions& options = {});
 
   /// Serves one packet through the shared pipeline and records
   /// per-tenant telemetry.
@@ -254,20 +229,24 @@ class SfpSystem {
   static controlplane::SfcSpec ToSpec(const dataplane::Sfc& sfc);
 
  private:
-  /// AdmitTenant body; control_mutex_ must be held.
-  AdmitResult AdmitTenantLocked(const dataplane::Sfc& sfc, const AdmitOptions& options);
+  /// The one control-plane transaction (control_mutex_ held):
+  ///   1. plan `desired` with DataPlane::PlanSfc against the pipeline
+  ///      minus the tenant's own allocation (pure);
+  ///   2. check eq. 26 on the planned pass count, the tenant's booked
+  ///      charge discounted;
+  ///   3. swap the allocation through DataPlane::SwapSfc, retrying
+  ///      transient faults with backoff per `options` (a re-provision
+  ///      also checks "core.reprovision" before each attempt);
+  ///   4. book in the ledger exactly what is installed.
+  /// A null `desired` departs the tenant. Rejections end before step
+  /// 3, so they touch no table.
+  AdmitResult Transact(dataplane::TenantId tenant, const dataplane::Sfc* desired,
+                       const AdmitOptions& options, bool reprovision);
 
-  /// Files one AdmitTenant wall-clock sample (control_mutex_ held).
-  void RecordAdmitLatency(std::chrono::steady_clock::time_point started);
-
-  /// ReprovisionTenant body; control_mutex_ must be held.
-  ReprovisionResult ReprovisionTenantLocked(const dataplane::Sfc& sfc,
-                                            const AdmitOptions& options);
-
-  /// Departure-time window compaction (control_mutex_ held): applies
-  /// DataPlane::PlanCompaction candidates through ReprovisionTenantLocked
-  /// until no candidate improves, a move stops paying off, or the
-  /// per-departure move bound is hit. Cross_tenant_packing only.
+  /// Departure-time window compaction (control_mutex_ held): moves
+  /// DataPlane::PlanCompaction candidates through Transact until no
+  /// candidate improves, a move stops paying off, or the per-departure
+  /// move bound is hit. Cross_tenant_packing only.
   void CompactAfterDeparture();
 
   dataplane::DataPlane data_plane_;
@@ -275,11 +254,15 @@ class SfpSystem {
   /// (backplane row only: the data plane checks memory when planning).
   /// Guarded by control_mutex_.
   controlplane::AdmissionLedger ledger_;
-  /// AdmitTenant wall-clock latency, one sample per call (exported as
-  /// the system.admit.latency_ns histogram). A histogram rather than
-  /// counters: wall-clock values differ run to run, and counters stay
-  /// deterministic. Held by pointer to keep SfpSystem movable.
+  /// Wall-clock latency of AdmitTenant, RemoveTenant and
+  /// ReprovisionTenant, one sample per call (exported as the
+  /// system.{admit,remove,reprovision}.latency_ns histograms).
+  /// Histograms rather than counters: wall-clock values differ run to
+  /// run, and counters stay deterministic. Held by pointer to keep
+  /// SfpSystem movable.
   std::unique_ptr<common::metrics::Histogram> admit_latency_ns_;
+  std::unique_ptr<common::metrics::Histogram> remove_latency_ns_;
+  std::unique_ptr<common::metrics::Histogram> reprovision_latency_ns_;
   dataplane::TelemetryCollector telemetry_;
   /// Admission outcome taxonomy (exported as system.admit.*).
   common::metrics::RelaxedCounter admits_ok_;
@@ -288,9 +271,9 @@ class SfpSystem {
   common::metrics::RelaxedCounter rejects_backplane_;
   common::metrics::RelaxedCounter rejects_install_;
   common::metrics::RelaxedCounter install_retries_;
-  /// Serializes control-plane mutations (AdmitTenant/RemoveTenant/
-  /// Stats) against each other, so they can run concurrently with the
-  /// serve path. Held by pointer to keep SfpSystem movable.
+  /// Serializes control-plane transactions (and Stats) against each
+  /// other, so they can run concurrently with the serve path. Held by
+  /// pointer to keep SfpSystem movable.
   std::unique_ptr<std::mutex> control_mutex_ = std::make_unique<std::mutex>();
 };
 

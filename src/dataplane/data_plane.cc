@@ -31,9 +31,25 @@ const char* AllocCodeName(AllocCode code) {
       return "no-placement";
     case AllocCode::kInstallFault:
       return "install-fault";
+    case AllocCode::kDiverged:
+      return "diverged";
   }
   return "unknown";
 }
+
+namespace {
+
+/// One rule install of InstallSfc or a swap's restore. False when an
+/// injected fault ("dataplane.install_rule", or the table's own
+/// "switchsim.table.add_entry") rejects it.
+bool InstallEntry(switchsim::MatchActionTable& table, std::vector<FieldMatch> matches,
+                  ActionId action, const ActionArgs& args, int priority, TenantId tenant) {
+  return !SFP_FAULT("dataplane.install_rule") &&
+         table.AddEntry(std::move(matches), action, args, priority, tenant) !=
+             switchsim::kInvalidEntryHandle;
+}
+
+}  // namespace
 
 DataPlane::DataPlane(switchsim::SwitchConfig config) : pipeline_(config) {}
 
@@ -122,12 +138,20 @@ nf::NetworkFunction* DataPlane::PhysicalNf(int stage, nf::NfType type) {
   return slot != nullptr ? slot->nf.get() : nullptr;
 }
 
+switchsim::EntryDeltas DataPlane::OwnEntriesOut(TenantId tenant) const {
+  switchsim::EntryDeltas out;
+  const auto it = allocations_.find(tenant);
+  if (it == allocations_.end()) return out;
+  for (const auto& [table, entries] : it->second.entries) out[table] = -entries;
+  return out;
+}
+
 bool DataPlane::PlanSequential(const Sfc& sfc, int pass_limit,
                                std::vector<PlanStep>& plan) const {
   plan.clear();
-  // Prospective extra entries per table, so capacity checks account for
-  // earlier NFs of this same SFC landing in the same table.
-  std::map<const switchsim::MatchActionTable*, std::int64_t> pending;
+  // Prospective entries per table: the tenant's own installed entries
+  // out, plus earlier NFs of this same SFC landing in the stage.
+  switchsim::EntryDeltas pending = OwnEntriesOut(sfc.tenant);
 
   int pass = 0;
   int cursor = 0;  // next candidate stage within the current pass
@@ -140,8 +164,7 @@ bool DataPlane::PlanSequential(const Sfc& sfc, int pass_limit,
       for (int k = cursor; k < pipeline_.num_stages(); ++k) {
         auto* slot = FindSlot(k, logical.type);
         if (slot == nullptr) continue;
-        const std::int64_t already = pending[slot->table];
-        if (!pipeline_.stage(k).CanAddEntries(*slot->table, already + entries)) continue;
+        if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
         chosen = slot;
         cursor = k + 1;
         break;
@@ -181,7 +204,7 @@ bool DataPlane::PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>
   // (b) is not already claimed by this chain in that pass (two logical
   // NFs in one table would merge their (tenant, pass) rule sets), and
   // (c) executes after every conflicting predecessor.
-  std::map<const switchsim::MatchActionTable*, std::int64_t> pending;
+  switchsim::EntryDeltas pending = OwnEntriesOut(sfc.tenant);
   std::vector<std::vector<const switchsim::MatchActionTable*>> claimed(
       static_cast<std::size_t>(pass_limit));
   for (std::size_t j = 0; j < n; ++j) {
@@ -209,8 +232,7 @@ bool DataPlane::PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>
         auto* slot = FindSlot(k, logical.type);
         if (slot == nullptr) continue;
         if (std::find(used.begin(), used.end(), slot->table) != used.end()) continue;
-        const std::int64_t already = pending[slot->table];
-        if (!pipeline_.stage(k).CanAddEntries(*slot->table, already + entries)) continue;
+        if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
         chosen = slot;
         chosen_pass = p;
         break;
@@ -225,8 +247,7 @@ bool DataPlane::PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>
 }
 
 bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
-                                std::vector<PlanStep>& plan,
-                                std::optional<TenantId> replan_tenant) const {
+                                std::vector<PlanStep>& plan) const {
   const std::size_t n = sfc.chain.size();
   plan.assign(n, PlanStep{});
 
@@ -236,19 +257,11 @@ bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
   const auto preds = BuildPrecedence(effects);
   const auto successor_free = SuccessorFree(preds);
 
-  // Compaction probes plan as if the tenant had already departed: its
-  // installed entries are discounted from every capacity check and its
-  // own claims don't count as open windows.
-  std::map<const switchsim::MatchActionTable*, std::int64_t> pending;
-  if (replan_tenant.has_value()) {
-    for (const auto& [table, entries] : xt_ledger_.TenantFootprint(*replan_tenant)) {
-      pending[table] = -entries;
-    }
-  }
-  auto window_open = [this, &replan_tenant](int pass, int stage) {
-    return replan_tenant.has_value()
-               ? xt_ledger_.WindowOpenExcluding(pass, stage, *replan_tenant)
-               : xt_ledger_.WindowOpen(pass, stage);
+  // Planned as if the tenant had already departed (a re-provision or a
+  // compaction probe): its own claims don't count as open windows.
+  switchsim::EntryDeltas pending = OwnEntriesOut(sfc.tenant);
+  auto window_open = [this, &sfc](int pass, int stage) {
+    return xt_ledger_.WindowOpenExcluding(pass, stage, sfc.tenant);
   };
 
   std::vector<std::vector<const switchsim::MatchActionTable*>> claimed(
@@ -294,8 +307,7 @@ bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
         auto* slot = FindSlot(k, logical.type);
         if (slot == nullptr) continue;
         if (std::find(used.begin(), used.end(), slot->table) != used.end()) continue;
-        const std::int64_t already = pending[slot->table];
-        if (!pipeline_.stage(k).CanAddEntries(*slot->table, already + entries)) continue;
+        if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
         chosen = slot;
         commit(j, slot, p, entries);
         break;
@@ -329,8 +341,7 @@ bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
         auto* slot = FindSlot(k, logical.type);
         if (slot == nullptr) continue;
         if (std::find(used.begin(), used.end(), slot->table) != used.end()) continue;
-        const std::int64_t already = pending[slot->table];
-        if (!pipeline_.stage(k).CanAddEntries(*slot->table, already + entries)) continue;
+        if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
         const int extra = p > max_pass ? p - max_pass : 0;
         const std::tuple<int, int, int, int> score{
             extra, -k, window_open(p, k) ? 0 : 1, p};
@@ -395,12 +406,6 @@ AllocationPlan DataPlane::PlanSfc(const Sfc& sfc, std::optional<int> max_passes)
     result.error = "empty chain";
     return plan;
   }
-  if (allocations_.contains(sfc.tenant)) {
-    result.code = AllocCode::kAlreadyAllocated;
-    result.error = "tenant already allocated";
-    return plan;
-  }
-
   // Match logical NFs to physical slots; nothing below mutates a table.
   std::vector<PlanStep> steps;
   std::vector<PlanStep> sequential;
@@ -504,12 +509,14 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
 
   std::vector<PhysicalNfSlot*> slots;
   slots.reserve(sfc.chain.size());
+  Allocation allocation{plan.allocation, {}};
   for (std::size_t j = 0; j < sfc.chain.size(); ++j) {
     const NfPlacement& placement = plan.allocation.placements[j];
     const auto& logical = sfc.chain[j];
     PhysicalNfSlot* slot = FindSlot(placement.stage, logical.type);
     SFP_CHECK_MSG(slot != nullptr, "allocation plan names a missing physical NF");
     slots.push_back(slot);
+    allocation.entries[slot->table] += static_cast<std::int64_t>(logical.rules.size()) + 1;
     // PlanSfc flagged the execution-order-last NF of every non-final
     // pass.
     const bool rec = placement.rec;
@@ -522,9 +529,8 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
                                          FieldMatch::Exact(
                                              static_cast<std::uint64_t>(placement.pass))};
       for (const auto& m : rule.matches) matches.push_back(m);
-      if (SFP_FAULT("dataplane.install_rule") ||
-          slot->table->AddEntry(std::move(matches), it->second, rule.args, rule.priority,
-                                sfc.tenant) == switchsim::kInvalidEntryHandle) {
+      if (!InstallEntry(*slot->table, std::move(matches), it->second, rule.args, rule.priority,
+                        sfc.tenant)) {
         return unwind_install(nf::NfFullName(logical.type));
       }
     }
@@ -537,9 +543,8 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
     for (std::size_t f = 0; f < slot->nf->KeySpec().size(); ++f) {
       matches.push_back(FieldMatch::Any());
     }
-    if (SFP_FAULT("dataplane.install_rule") ||
-        slot->table->AddEntry(std::move(matches), catch_all, {}, /*priority=*/-1000,
-                              sfc.tenant) == switchsim::kInvalidEntryHandle) {
+    if (!InstallEntry(*slot->table, std::move(matches), catch_all, {}, /*priority=*/-1000,
+                      sfc.tenant)) {
       return unwind_install("catch-all");
     }
   }
@@ -564,7 +569,7 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
     retained_[sfc.tenant] = sfc;
   }
   if (pipeline_.config().nf_parallelism || xt) RecordPassPacking(stats);
-  allocations_[sfc.tenant] = plan.allocation;
+  allocations_[sfc.tenant] = std::move(allocation);
   // The tenant's rules just changed under any previously compiled plan
   // (re-admission after departure); the per-packet epoch check would
   // catch it, but invalidating here keeps the serve path fast.
@@ -595,15 +600,14 @@ std::vector<DataPlane::CompactionCandidate> DataPlane::PlanCompaction() const {
   if (!pipeline_.config().cross_tenant_packing) return candidates;
   const int pass_limit = pipeline_.config().max_passes;
   for (const auto& [tenant, allocation] : allocations_) {
-    if (allocation.passes <= 1) continue;  // already optimal
+    const int passes = allocation.result.passes;
+    if (passes <= 1) continue;  // already optimal
     const auto it = retained_.find(tenant);
     if (it == retained_.end()) continue;
     std::vector<PlanStep> probe;
-    if (!PlanCoScheduled(it->second, pass_limit, probe, tenant)) continue;
+    if (!PlanCoScheduled(it->second, pass_limit, probe)) continue;
     const int replanned = AssignRecMarks(probe);
-    if (replanned < allocation.passes) {
-      candidates.push_back({tenant, allocation.passes, replanned});
-    }
+    if (replanned < passes) candidates.push_back({tenant, passes, replanned});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const CompactionCandidate& a, const CompactionCandidate& b) {
@@ -675,66 +679,79 @@ std::vector<std::string> DataPlane::AuditXtLedger() const {
   return issues;
 }
 
-DataPlane::BatchResult DataPlane::ApplyAtomic(const std::vector<UpdateOp>& ops) {
-  BatchResult result;
-  std::vector<int> completed;  // indices of ops applied so far
-
-  auto undo = [this, &ops, &completed, &result]() {
-    for (auto it = completed.rbegin(); it != completed.rend(); ++it) {
-      const UpdateOp& op = ops[static_cast<std::size_t>(*it)];
-      if (op.kind == UpdateOp::Kind::kAdmit) {
-        DeallocateSfc(op.sfc.tenant);
-        continue;
-      }
-      // The SFC fit before the batch and all later ops are already
-      // undone, so re-allocation into the restored resources succeeds
-      // (possibly at a different feasible placement) — unless a second
-      // fault hits the restore itself. Transient install faults are
-      // retried a bounded number of times; a persistent failure is
-      // reported as a consistency divergence rather than aborting.
-      AllocationResult restored;
-      for (int attempt = 0; attempt < 3; ++attempt) {
-        restored = AllocateSfc(op.sfc);
-        if (restored.ok || !restored.transient()) break;
-      }
-      if (!restored.ok) {
-        SFP_LOG_ERROR << "atomic-update rollback failed to restore tenant "
-                      << op.sfc.tenant << ": " << restored.error;
-        result.consistency = BatchResult::Consistency::kDiverged;
-        result.lost_tenants.push_back(op.sfc.tenant);
-      }
-    }
+AllocationResult DataPlane::SwapSfc(TenantId tenant, const Sfc* sfc,
+                                   const AllocationPlan* plan) {
+  SFP_CHECK_EQ(sfc == nullptr, plan == nullptr);
+  const auto it = allocations_.find(tenant);
+  if (sfc == nullptr || it == allocations_.end()) {
+    // One step only, and nothing to restore if it fails.
+    if (sfc != nullptr) return InstallSfc(*sfc, *plan);
+    DeallocateSfc(tenant);
+    AllocationResult removed;
+    removed.ok = true;
+    return removed;
+  }
+  SFP_CHECK_EQ(sfc->tenant, tenant);
+  auto injected = [](const char* step) {
+    AllocationResult failed;
+    failed.code = AllocCode::kInstallFault;
+    failed.error = std::string("injected fault before ") + step + " (dataplane.apply_op)";
+    return failed;
   };
 
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    if (SFP_FAULT("dataplane.apply_op")) {
-      undo();
-      result.failed_op = static_cast<int>(i);
-      result.error = "injected fault before op";
-      return result;
+  // Step 1: take the old entries out, keeping everything that puts
+  // them back exactly: the entries themselves, the allocation record,
+  // and (cross_tenant_packing) the window claims and retained SFC.
+  if (SFP_FAULT("dataplane.apply_op")) return injected("taking the old entries out");
+  Allocation old = std::move(it->second);
+  std::vector<std::pair<switchsim::MatchActionTable*, switchsim::TableEntry>> old_entries;
+  for (auto& slot : slots_) {
+    if (!old.entries.contains(slot.table)) continue;
+    for (const auto& entry : slot.table->entries()) {
+      if (entry.owner_tenant == tenant) old_entries.emplace_back(slot.table, entry);
     }
-    if (op.kind == UpdateOp::Kind::kAdmit) {
-      const auto allocation = AllocateSfc(op.sfc);
-      if (!allocation.ok) {
-        undo();
-        result.failed_op = static_cast<int>(i);
-        result.error = allocation.error;
-        return result;
-      }
-    } else {
-      if (!allocations_.contains(op.sfc.tenant)) {
-        undo();
-        result.failed_op = static_cast<int>(i);
-        result.error = "tenant not allocated";
-        return result;
-      }
-      DeallocateSfc(op.sfc.tenant);
-    }
-    completed.push_back(static_cast<int>(i));
   }
-  result.ok = true;
-  return result;
+  std::vector<StageWindowLedger::Claim> old_claims;
+  if (const auto claims = xt_ledger_.claims().find(tenant); claims != xt_ledger_.claims().end()) {
+    old_claims = claims->second;
+  }
+  auto old_retained = retained_.extract(tenant);
+  DeallocateSfc(tenant);
+
+  // Step 2: install the plan exactly as it was checked.
+  AllocationResult installed = SFP_FAULT("dataplane.apply_op")
+                                   ? injected("installing the new plan")
+                                   : InstallSfc(*sfc, *plan);
+  if (installed.ok) return installed;
+
+  // Roll back: InstallSfc unwound its partial install; re-add the old
+  // entries at their old placements. Deletes cannot fault (FAULTS.md),
+  // so each failed attempt unwinds cleanly before the next.
+  constexpr int kRestoreAttempts = 3;
+  for (int attempt = 0; attempt < kRestoreAttempts; ++attempt) {
+    bool restored = true;
+    for (const auto& [table, entry] : old_entries) {
+      if (!InstallEntry(*table, entry.matches, entry.action, entry.args, entry.priority,
+                        tenant)) {
+        restored = false;
+        break;
+      }
+    }
+    if (restored) {
+      allocations_.emplace(tenant, std::move(old));
+      if (!old_claims.empty()) xt_ledger_.Commit(tenant, std::move(old_claims));
+      if (!old_retained.empty()) retained_.insert(std::move(old_retained));
+      InvalidatePlan(tenant);
+      return installed;
+    }
+    for (auto& slot : slots_) slot.table->RemoveTenantEntries(tenant);
+  }
+  InvalidatePlan(tenant);
+  SFP_LOG_ERROR << "swap rollback failed to restore tenant " << tenant << ": "
+                << installed.error;
+  installed.code = AllocCode::kDiverged;
+  installed.error += "; restoring the old entries failed too";
+  return installed;
 }
 
 void DataPlane::RecordPassPacking(const PassPackingStats& stats) {

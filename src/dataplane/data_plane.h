@@ -16,6 +16,12 @@
 // Additionally a lowest-priority per-(tenant, pass) catch-all No-Op
 // rule is installed on that last NF so tenant traffic that misses every
 // configured rule still recirculates and completes its chain.
+//
+// Planning is pure and always runs against the tables minus the
+// planned tenant's own entries, so a re-provision plans exactly as if
+// the tenant had departed. SwapSfc then replaces a tenant's allocation
+// with such a plan all-or-nothing (§V-E): it is the one mutation
+// SfpSystem's control-plane transaction makes.
 #pragma once
 
 #include <map>
@@ -40,16 +46,20 @@ struct NfPlacement {
   bool rec = false;
 };
 
-/// Failure class of AllocateSfc, so callers can branch without string
-/// matching. kInstallFault is the one *transient* class: the placement
-/// was feasible but a rule install failed mid-flight (only possible
-/// under fault injection) — retrying is sensible.
+/// Failure class of AllocateSfc / SwapSfc, so callers can branch
+/// without string matching. kInstallFault is the one *transient*
+/// class: the placement was feasible but a rule install failed
+/// mid-flight (only possible under fault injection) — retrying is
+/// sensible.
 enum class AllocCode : std::uint8_t {
   kOk = 0,
   kEmptyChain,
   kAlreadyAllocated,
   kNoPlacement,
   kInstallFault,
+  /// A failed swap could not re-add the tenant's old entries either:
+  /// the tenant now holds no entries and no allocation.
+  kDiverged,
 };
 
 const char* AllocCodeName(AllocCode code);
@@ -106,13 +116,13 @@ struct PassPackingStats {
 };
 
 /// A pure allocation plan (DataPlane::PlanSfc): where each logical NF
-/// of one SFC would land against the current tables, computed without
-/// touching them. Valid for DataPlane::InstallSfc until the next
-/// (de)allocation.
+/// of one SFC would land against the current tables minus the tenant's
+/// own entries, computed without touching them. Valid for
+/// DataPlane::InstallSfc / SwapSfc until the next (de)allocation.
 struct AllocationPlan {
   /// What AllocateSfc reports for this plan: on success the per-NF
   /// placements and pass counts, otherwise the deterministic failure
-  /// (kEmptyChain, kAlreadyAllocated, kNoPlacement).
+  /// (kEmptyChain, kNoPlacement).
   AllocationResult allocation;
   /// Planner tallies, booked into the data plane's pass-packing
   /// totals only when the plan is installed.
@@ -139,15 +149,19 @@ class DataPlane {
   /// Plans a tenant SFC onto the physical pipeline without installing
   /// anything (the §IV placement: passes, folding, REC marks), so the
   /// control plane can run admission control on the planned pass count
-  /// before any table mutates. `max_passes` bounds folding (defaults to
+  /// before any table mutates. The plan is made against the tables
+  /// minus `sfc.tenant`'s own allocation — exactly what it would be
+  /// after DeallocateSfc of that tenant — so a re-provision plans as if
+  /// the tenant had departed. `max_passes` bounds folding (defaults to
   /// the switch config's recirculation guard).
   AllocationPlan PlanSfc(const Sfc& sfc, std::optional<int> max_passes = {}) const;
 
-  /// Installs a PlanSfc plan: copies the tenant's rules with the
-  /// (tenant, pass) prefix and books the allocation. A failed plan is
-  /// returned as is. A transient rule-install fault unwinds every entry
-  /// installed so far (kInstallFault), leaving the data plane unchanged
-  /// and the plan still valid for a retry.
+  /// Installs a PlanSfc plan for a tenant that holds no allocation:
+  /// copies the tenant's rules with the (tenant, pass) prefix and books
+  /// the allocation. A failed plan is returned as is. A transient
+  /// rule-install fault unwinds every entry installed so far
+  /// (kInstallFault), leaving the data plane unchanged and the plan
+  /// still valid for a retry.
   AllocationResult InstallSfc(const Sfc& sfc, const AllocationPlan& plan);
 
   /// PlanSfc followed by InstallSfc. On failure the data plane is left
@@ -160,44 +174,15 @@ class DataPlane {
   /// Returns the number of rules removed.
   std::size_t DeallocateSfc(TenantId tenant);
 
-  /// One operation of an atomic update batch. Removals carry the
-  /// tenant's SFC so a failed batch can restore it.
-  struct UpdateOp {
-    enum class Kind { kAdmit, kRemove };
-    Kind kind = Kind::kAdmit;
-    Sfc sfc;
-  };
-
-  /// Result of ApplyAtomic.
-  struct BatchResult {
-    /// Rollback verdict. kConsistent: the data plane serves exactly as
-    /// before the batch (the all-or-nothing guarantee held). kDiverged:
-    /// a second fault hit *during rollback* and one or more removed
-    /// SFCs could not be restored — `lost_tenants` lists them; their
-    /// rules are fully absent (never partially installed).
-    enum class Consistency : std::uint8_t { kConsistent = 0, kDiverged };
-
-    bool ok = false;
-    /// Index of the op that failed (-1 when ok) and why.
-    int failed_op = -1;
-    std::string error;
-    Consistency consistency = Consistency::kConsistent;
-    /// Tenants whose SFCs were lost to a rollback double-fault.
-    std::vector<TenantId> lost_tenants;
-  };
-
-  /// Applies a batch of admissions/removals with all-or-nothing
-  /// semantics (§V-E: reconciling all SFCs on update): ops run in
-  /// order; if any fails, every completed op is rolled back in reverse
-  /// (re-allocating removed SFCs — their rules are reinstalled, though
-  /// possibly at a different feasible placement) and the data plane is
-  /// left functionally unchanged. Rollback is double-fault-safe: a
-  /// fault while restoring a removed SFC is retried a bounded number of
-  /// times and, if it persists, reported as Consistency::kDiverged with
-  /// the lost tenants, instead of aborting or silently diverging.
-  /// Fault points: "dataplane.apply_op" fails op i before it runs;
-  /// install faults inside ops surface through AllocateSfc.
-  BatchResult ApplyAtomic(const std::vector<UpdateOp>& ops);
+  /// Replaces `tenant`'s allocation all-or-nothing (§V-E runtime
+  /// update): takes its installed entries out (all of them when `sfc`
+  /// and `plan` are null), then installs `plan` exactly as planned. On
+  /// a transient fault the new entries are unwound and the old ones
+  /// re-added at their old placements (kInstallFault: retry the same
+  /// plan); a re-add that keeps faulting leaves the tenant with
+  /// nothing (kDiverged). "dataplane.apply_op" is checked before each
+  /// step of a swap that replaces an installed allocation.
+  AllocationResult SwapSfc(TenantId tenant, const Sfc* sfc, const AllocationPlan* plan);
 
   /// True if the tenant currently has an allocated SFC.
   bool IsAllocated(TenantId tenant) const { return allocations_.contains(tenant); }
@@ -206,7 +191,7 @@ class DataPlane {
   /// nullptr when none. Valid until the next (de)allocation.
   const AllocationResult* FindAllocation(TenantId tenant) const {
     const auto it = allocations_.find(tenant);
-    return it != allocations_.end() ? &it->second : nullptr;
+    return it != allocations_.end() ? &it->second.result : nullptr;
   }
 
   /// Runs one packet through the shared pipeline.
@@ -238,8 +223,8 @@ class DataPlane {
   /// tenant. Action traits are derived from each physical NF's
   /// TraitsOf. Call after installing the physical layout; installing
   /// another physical NF later rebuilds the metadata (dropping all
-  /// cached plans). Admissions, departures, and atomic updates
-  /// proactively invalidate the affected tenant's plan.
+  /// cached plans). Installs, departures and swaps proactively
+  /// invalidate the affected tenant's plan.
   void EnableCompiledPlans();
   bool compiled_plans_enabled() const { return pipeline_.compiler_enabled(); }
 
@@ -262,7 +247,7 @@ class DataPlane {
   }
 
   /// One tenant whose retained SFC would re-plan into fewer passes
-  /// against the current ledger (its own footprint discounted).
+  /// against the current ledger (its own entries discounted).
   struct CompactionCandidate {
     TenantId tenant = 0;
     int current_passes = 0;
@@ -271,9 +256,9 @@ class DataPlane {
 
   /// Probes every allocated multi-pass tenant for a window-compaction
   /// win (pure — nothing is moved). Candidates are sorted biggest
-  /// pass saving first, ties by tenant id, so the §V-E re-provision
-  /// driver in SfpSystem::RemoveTenant applies them deterministically.
-  /// Empty unless cross_tenant_packing.
+  /// pass saving first, ties by tenant id, so SfpSystem::RemoveTenant
+  /// moves them deterministically through its control-plane
+  /// transaction. Empty unless cross_tenant_packing.
   std::vector<CompactionCandidate> PlanCompaction() const;
 
   /// Ledger conservation check (empty == consistent, entries describe
@@ -315,6 +300,17 @@ class DataPlane {
   PhysicalNfSlot* FindSlot(int stage, nf::NfType type);
   const PhysicalNfSlot* FindSlot(int stage, nf::NfType type) const;
 
+  /// One allocated tenant: its allocation, and the entries it holds
+  /// per table (what planning "minus the tenant" discounts).
+  struct Allocation {
+    AllocationResult result;
+    switchsim::EntryDeltas entries;
+  };
+
+  /// The capacity deltas every planner starts from: `tenant`'s own
+  /// installed entries, negated (empty when it holds none).
+  switchsim::EntryDeltas OwnEntriesOut(TenantId tenant) const;
+
   /// One planned rule-copy target: which physical slot hosts logical
   /// NF j, at which (stage, pass), and whether its rules carry the REC
   /// variant (execution-order-last step of a non-final pass).
@@ -344,11 +340,8 @@ class DataPlane {
   /// passes, then the latest stage, then windows other tenants
   /// already hold open — so early-stage capacity stays free for
   /// order-constrained chains and claims line up in shared windows.
-  /// With `replan_tenant` set (departure compaction probe) that
-  /// tenant's own table entries and window claims are discounted, as
-  /// if it had departed. Pure.
-  bool PlanCoScheduled(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan,
-                       std::optional<TenantId> replan_tenant = {}) const;
+  /// The tenant's own window claims never count as open. Pure.
+  bool PlanCoScheduled(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan) const;
 
   /// Marks the execution-order-last step of every non-final pass with
   /// the REC flag (stage order, then table order within the stage —
@@ -364,8 +357,8 @@ class DataPlane {
 
   switchsim::Pipeline pipeline_;
   std::vector<PhysicalNfSlot> slots_;
-  /// tenant -> placements of its chain (for bookkeeping / tests).
-  std::map<TenantId, AllocationResult> allocations_;
+  /// tenant -> its allocation and per-table entries.
+  std::map<TenantId, Allocation> allocations_;
   /// Shared (pass, stage) occupancy across tenants; only populated
   /// while cross_tenant_packing is on.
   StageWindowLedger xt_ledger_;

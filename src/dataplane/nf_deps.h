@@ -18,7 +18,7 @@
 // on it) plus the action bodies' declared reads. writes(X) = the
 // action bodies' declared writes, including the virtual effect bits
 // (egress port, scratch, TTL) that no key can match but ProcessResult
-// exposes. DataPlane::AllocateSfc turns every *dependent* pair into a
+// exposes. DataPlane::PlanSfc turns every *dependent* pair into a
 // directed ordering edge (keep chain order across passes, or by stage
 // within one pass) and list-schedules the chain under those edges;
 // runs of mutually independent NFs (MergeRuns) are the edge-free

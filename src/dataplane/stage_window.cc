@@ -51,15 +51,6 @@ bool StageWindowLedger::WindowOpenExcluding(int pass, int stage,
   return wit->second.claims > own;
 }
 
-std::map<const switchsim::MatchActionTable*, std::int64_t>
-StageWindowLedger::TenantFootprint(TenantId tenant) const {
-  std::map<const switchsim::MatchActionTable*, std::int64_t> footprint;
-  const auto it = claims_.find(tenant);
-  if (it == claims_.end()) return footprint;
-  for (const Claim& claim : it->second) footprint[claim.table] += claim.entries;
-  return footprint;
-}
-
 std::int64_t StageWindowLedger::TenantEntries(TenantId tenant) const {
   std::int64_t total = 0;
   const auto it = claims_.find(tenant);

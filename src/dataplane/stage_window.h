@@ -14,7 +14,7 @@
 // open, so pass boundaries line up across the tenant population and
 // scarce early-stage table capacity stays available for
 // order-constrained chains. Departure-time compaction re-plans
-// retained SFCs with their own footprint discounted (TenantFootprint).
+// retained SFCs with their own claims discounted (WindowOpenExcluding).
 //
 // Invariants (AuditXtLedger in data_plane.h checks them):
 //   * ledger tenants == allocated tenants,
@@ -81,15 +81,10 @@ class StageWindowLedger {
   }
 
   /// Like WindowOpen, but ignoring `exclude`'s own claims — true only
-  /// when some *other* tenant holds (pass, stage). Used by departure
-  /// compaction probes so a tenant's current placement doesn't bias
-  /// its own re-plan.
+  /// when some *other* tenant holds (pass, stage). The co-scheduler
+  /// plans every tenant this way, so a re-provisioned tenant's current
+  /// placement doesn't bias its own re-plan.
   bool WindowOpenExcluding(int pass, int stage, TenantId exclude) const;
-
-  /// Per-table entry footprint of one tenant (for discounting the
-  /// tenant's own rules when probing a re-plan). Empty when absent.
-  std::map<const switchsim::MatchActionTable*, std::int64_t> TenantFootprint(
-      TenantId tenant) const;
 
   /// Total entries the ledger books for `tenant` (0 when absent).
   std::int64_t TenantEntries(TenantId tenant) const;

@@ -24,15 +24,6 @@ void RecoveryController::UntrackTenant(dataplane::TenantId tenant) {
   tracked_.erase(tenant);
 }
 
-void RecoveryController::NoteLostTenants(std::span<const dataplane::TenantId> tenants,
-                                         double now_s) {
-  for (const dataplane::TenantId tenant : tenants) {
-    const auto it = tracked_.find(tenant);
-    if (it == tracked_.end() || it->second.health != Health::kHealthy) continue;
-    Flag(it->second, now_s, "lost");
-  }
-}
-
 void RecoveryController::Flag(Tracked& tracked, double now_s, const char* cause) {
   tracked.health = Health::kDegraded;
   tracked.detected_s = now_s;
@@ -82,8 +73,8 @@ void RecoveryController::Poll(double now_s) {
   }
 
   // Repair: every degraded tenant whose backoff has elapsed gets one
-  // atomic re-provision. The call itself does not retry or sleep —
-  // backoff is sim-time, spread across polls.
+  // re-provision. The call itself does not retry or sleep — backoff is
+  // sim-time, spread across polls.
   for (auto& [tenant, tracked] : tracked_) {
     if (tracked.health != Health::kDegraded) continue;
     if (now_s + 1e-12 < tracked.next_attempt_s) continue;
@@ -94,7 +85,7 @@ void RecoveryController::Poll(double now_s) {
     once.max_attempts = 1;
     once.initial_backoff = std::chrono::microseconds{0};
     const auto result = system_.ReprovisionTenant(tracked.sfc, once);
-    if (result.ok) {
+    if (result.admitted) {
       ++counters_.successes;
       episodes_.push_back({tenant, tracked.detected_s, now_s, tracked.attempts, true,
                            tracked.cause});
@@ -116,7 +107,7 @@ void RecoveryController::Poll(double now_s) {
     }
 
     ++counters_.failures;
-    if (result.code == core::ReprovisionCode::kDiverged) ++counters_.diverged;
+    if (result.code == core::AdmitCode::kDiverged) ++counters_.diverged;
     if (tracked.attempts >= options_.max_attempts) {
       // Quarantine: stop burning attempts on a tenant that cannot be
       // repaired; release whatever it still holds so healthy tenants

@@ -1,7 +1,7 @@
 // Telemetry-driven recovery loop (docs/SCENARIOS.md).
 //
 // The RecoveryController closes the loop between the sharded
-// TelemetryCollector and the §V-E atomic-update path: it polls the
+// TelemetryCollector and the §V-E runtime-update path: it polls the
 // collector's drift query for damage signatures — per-tenant drop-rate
 // spikes and multi-pass throughput collapse (a tenant whose rules were
 // lost stops recirculating, so its window mean pass count falls to 1) —
@@ -13,8 +13,9 @@
 // broken tenant can never starve the healthy ones.
 //
 // Blast radius: detection only reads telemetry, and a repair runs one
-// atomic batch that touches only the damaged tenant's (tenant, pass)
-// rules, so unaffected tenants' packet accounting is byte-identical
+// control-plane transaction whose swap touches only the damaged
+// tenant's (tenant, pass) rules, so unaffected tenants' packet
+// accounting is byte-identical
 // with and without a concurrent recovery (asserted in
 // tests/scenario_test.cc).
 //
@@ -29,7 +30,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -70,8 +70,8 @@ struct RecoveryEpisode {
   int attempts = 0;
   /// true = repaired; false = quarantined after max_attempts.
   bool recovered = false;
-  /// Signature that triggered detection: "structural", "drop-spike",
-  /// "passes-collapse", or "lost" (externally reported divergence).
+  /// Signature that triggered detection: "structural", "drop-spike" or
+  /// "passes-collapse".
   std::string cause;
 
   double DurationMs() const { return (ended_s - detected_s) * 1e3; }
@@ -99,11 +99,6 @@ class RecoveryController {
 
   /// Forgets a tenant (planned departure — not damage).
   void UntrackTenant(dataplane::TenantId tenant);
-
-  /// Marks externally observed rollback-divergence victims (e.g. a
-  /// driver's own ApplyAtomic reporting lost_tenants) as damaged, so
-  /// the next Poll repairs them without waiting for telemetry.
-  void NoteLostTenants(std::span<const dataplane::TenantId> tenants, double now_s);
 
   /// One loop iteration at simulated time `now_s`: consumes the drift
   /// window, flags damage signatures, and runs every due repair

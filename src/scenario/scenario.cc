@@ -61,10 +61,10 @@ ScenarioSpec FailureStormScenario() {
   spec.duration_s = 900.0;
   spec.initial_tenants = 8;
   // Each burst drops a slice of served packets (telemetry drop-spike
-  // signature) and fails a fraction of repair batches (exercising
+  // signature) and fails a fraction of repair swaps (exercising
   // sim-time backoff and, via rollback double-faults, divergence).
   // Repair-path fault rates are set with compounding in mind: one
-  // re-provision batch rolls apply_op per op (x2) and install_rule /
+  // re-provision swap rolls apply_op per step (x2) and install_rule /
   // add_entry per installed rule (x4-10), so even these low per-point
   // probabilities leave every repair a ~20-40% coin flip during a
   // storm. High enough to exercise backoff and the occasional

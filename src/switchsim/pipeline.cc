@@ -70,13 +70,16 @@ bool Stage::CanAddEntry(const MatchActionTable& table) const {
   return CanAddEntries(table, 1);
 }
 
-bool Stage::CanAddEntries(const MatchActionTable& table, std::int64_t count) const {
-  const std::int64_t entries = static_cast<std::int64_t>(table.num_entries()) + count;
-  const int new_blocks =
-      static_cast<int>(std::max<std::int64_t>(1, CeilDiv(entries, entries_per_block_)));
-  const int current_blocks = static_cast<int>(std::max<std::int64_t>(
-      1, CeilDiv(static_cast<std::int64_t>(table.num_entries()), entries_per_block_)));
-  return BlocksUsed() - current_blocks + new_blocks <= blocks_per_stage_;
+bool Stage::CanAddEntries(const MatchActionTable& table, std::int64_t count,
+                          const EntryDeltas& pending) const {
+  std::int64_t blocks = 0;
+  for (const auto& t : tables_) {
+    std::int64_t entries = static_cast<std::int64_t>(t->num_entries());
+    if (const auto it = pending.find(t.get()); it != pending.end()) entries += it->second;
+    if (t.get() == &table) entries += count;
+    blocks += std::max<std::int64_t>(1, CeilDiv(entries, entries_per_block_));
+  }
+  return blocks <= blocks_per_stage_;
 }
 
 Pipeline::Pipeline(SwitchConfig config) : config_(config) {

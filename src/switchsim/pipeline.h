@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -55,20 +56,20 @@ struct SwitchConfig {
   /// instead of letting it exit with a truncated chain. Off by default
   /// to preserve the historical truncation semantics.
   bool drop_on_recirculation_guard = false;
-  /// Intra-chain NF parallelism (DESIGN.md): when true, AllocateSfc
-  /// packs maximal runs of mutually independent NFs into shared
+  /// Intra-chain NF parallelism (DESIGN.md): when true, the planner
+  /// (DataPlane::PlanSfc) packs maximal runs of mutually independent NFs into shared
   /// recirculation passes instead of placing strictly in chain order.
   /// Opt-in; off preserves the sequential §IV layout exactly. Packed
   /// and sequential layouts are verdict- and telemetry-equivalent
   /// (pass counts and latency excluded — reducing them is the point).
   bool nf_parallelism = false;
   /// Cross-tenant recirculation pass co-scheduling (DESIGN.md
-  /// "Cross-tenant pass sharing"): when true, AllocateSfc consults a
+  /// "Cross-tenant pass sharing"): when true, the planner consults a
   /// fabric-wide stage-window occupancy ledger and steers NFs without
   /// chain successors into already-open (pass, stage) windows, keeping
   /// scarce early-stage capacity for order-constrained chains, and
-  /// tenant departures trigger window compaction through the §V-E
-  /// atomic update path. Implies dependency-aware planning (the packed
+  /// tenant departures trigger window compaction through SfpSystem's
+  /// control-plane transaction. Implies dependency-aware planning (the packed
   /// reference is computed even when nf_parallelism is off). Opt-in;
   /// off preserves the per-tenant behaviour bit-for-bit. Per tenant the
   /// co-scheduled plan is never worse than the PR-9 reference
@@ -77,6 +78,10 @@ struct SwitchConfig {
   bool cross_tenant_packing = false;
   TimingModel timing;
 };
+
+/// Entries a pending change adds to each table on top of what is
+/// installed; negative for entries it takes out.
+using EntryDeltas = std::map<const MatchActionTable*, std::int64_t>;
 
 /// One MAU stage: hosts tables and tracks block occupancy.
 class Stage {
@@ -100,8 +105,11 @@ class Stage {
   std::int64_t EntriesUsed() const;
   /// True if one more entry in `table` still fits the stage memory.
   bool CanAddEntry(const MatchActionTable& table) const;
-  /// True if `count` more entries in `table` still fit the stage memory.
-  bool CanAddEntries(const MatchActionTable& table, std::int64_t count) const;
+  /// True if `count` more entries in `table` still fit the stage memory
+  /// while every table of the stage also carries its `pending` delta
+  /// (a plan's earlier entries, or a tenant's entries it takes out).
+  bool CanAddEntries(const MatchActionTable& table, std::int64_t count,
+                     const EntryDeltas& pending = {}) const;
 
   int index() const { return index_; }
   const std::vector<std::unique_ptr<MatchActionTable>>& tables() const { return tables_; }

@@ -89,6 +89,27 @@ TEST(AdmissionLedgerTest, StageRowsBindIndependently) {
   EXPECT_TRUE(ledger.TryAdmit(4, Footprint(1.0, 1, {{1, 10.0}})));
 }
 
+// A re-provision is checked against the live set minus the tenant's
+// own booking, on every row it touches; other tenants' bookings still
+// count in full.
+TEST(AdmissionLedgerTest, ReplacingDiscountsOnlyTheTenantsOwnCharge) {
+  AdmissionCapacity capacity;
+  capacity.backplane_gbps = 100.0;
+  capacity.stage_entries = {50.0};
+  AdmissionLedger ledger(capacity);
+  ASSERT_TRUE(ledger.TryAdmit(1, Footprint(10.0, 2, {{0, 30.0}})));  // charges 20
+  ASSERT_TRUE(ledger.TryAdmit(2, Footprint(60.0, 1, {{0, 10.0}})));
+  // 60 + 40 == 100 and 10 + 40 == 50 fit once tenant 1's own 20 Gbps
+  // and 30 entries are released; on top of them they would not.
+  EXPECT_FALSE(ledger.Fits(Footprint(20.0, 2, {{0, 40.0}})));
+  EXPECT_TRUE(ledger.FitsReplacing(1, Footprint(20.0, 2, {{0, 40.0}})));
+  EXPECT_FALSE(ledger.FitsReplacing(1, Footprint(20.5, 2)));
+  EXPECT_FALSE(ledger.FitsReplacing(1, Footprint(1.0, 1, {{0, 41.0}})));
+  // Tenant 3 is not live: nothing is released.
+  EXPECT_FALSE(ledger.FitsReplacing(3, Footprint(20.0, 2, {{0, 40.0}})));
+  EXPECT_TRUE(ledger.FitsReplacing(3, Footprint(10.0, 2, {{0, 10.0}})));
+}
+
 TEST(AdmissionLedgerTest, MillionArrivalsLeaveNoDrift) {
   // Fractional bandwidths whose floating-point running sum would
   // accumulate rounding error: after a million arrivals and their

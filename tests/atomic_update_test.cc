@@ -1,15 +1,18 @@
-// Tests for atomic batched data-plane updates (§V-E reconciliation).
+// Tests for DataPlane::SwapSfc, the all-or-nothing runtime update
+// (§V-E) behind every SfpSystem control-plane transaction.
 #include <gtest/gtest.h>
 
+#include "common/faultinject.h"
 #include "dataplane/data_plane.h"
 #include "nf/firewall.h"
 
 namespace sfp::dataplane {
 namespace {
 
+using common::faultinject::FaultSpec;
+using common::faultinject::ScopedFaultPlan;
 using net::Ipv4Address;
 using net::MakeTcpPacket;
-using Op = DataPlane::UpdateOp;
 
 nf::NfConfig Fw(std::uint16_t port, int extra_rules = 0) {
   nf::NfConfig config;
@@ -45,66 +48,60 @@ switchsim::SwitchConfig SmallSwitch() {
   return config;
 }
 
-TEST(AtomicUpdateTest, AppliesMixedBatch) {
-  DataPlane dp(SmallSwitch());
-  ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
-  ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
-
-  const auto result = dp.ApplyAtomic({
-      Op{Op::Kind::kRemove, MakeSfc(1, 80)},
-      Op{Op::Kind::kAdmit, MakeSfc(2, 443)},
-      Op{Op::Kind::kAdmit, MakeSfc(3, 22)},
-  });
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_FALSE(dp.IsAllocated(1));
-  EXPECT_TRUE(dp.IsAllocated(2));
-  EXPECT_TRUE(dp.IsAllocated(3));
+bool Drops(DataPlane& dp, std::uint16_t tenant, std::uint16_t port) {
+  return dp.Process(MakeTcpPacket(tenant, Ipv4Address::Of(1, 1, 1, 1),
+                                  Ipv4Address::Of(2, 2, 2, 2), 9, port, 64))
+      .meta.dropped;
 }
 
 TEST(AtomicUpdateTest, FailedAdmitRollsEverythingBack) {
   DataPlane dp(SmallSwitch());
   ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
-  // Tenant 1 occupies most of the 50-entry block.
+  // Tenant 1 occupies most of the 50-entry block; its replacement only
+  // fits because planning discounts the 42 entries the swap takes out.
   ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80, /*extra_rules=*/40)).ok);
   const auto entries_before = dp.pipeline().TotalEntriesUsed();
+  const Sfc replacement = MakeSfc(1, 443, /*extra_rules=*/45);
+  const auto plan = dp.PlanSfc(replacement);
+  ASSERT_TRUE(plan.allocation.ok) << plan.allocation.error;
 
-  // Batch: admit a small tenant, then one that cannot possibly fit.
-  const auto result = dp.ApplyAtomic({
-      Op{Op::Kind::kAdmit, MakeSfc(2, 443)},
-      Op{Op::Kind::kAdmit, MakeSfc(3, 22, /*extra_rules=*/45)},
-  });
+  AllocationResult result;
+  {
+    // The third new entry fails to install.
+    ScopedFaultPlan faults({.seed = 1, .faults = {FaultSpec::Nth("switchsim.table.add_entry", 3)}});
+    result = dp.SwapSfc(1, &replacement, &plan);
+  }
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.failed_op, 1);
-  // All-or-nothing: tenant 2's partial admission was rolled back.
-  EXPECT_FALSE(dp.IsAllocated(2));
-  EXPECT_FALSE(dp.IsAllocated(3));
+  EXPECT_EQ(result.code, AllocCode::kInstallFault);
+  // All-or-nothing: the partial install was unwound and tenant 1's old
+  // rules are back.
   EXPECT_TRUE(dp.IsAllocated(1));
   EXPECT_EQ(dp.pipeline().TotalEntriesUsed(), entries_before);
-
-  // Tenant 1's rules still work.
-  auto out = dp.Process(MakeTcpPacket(1, Ipv4Address::Of(1, 1, 1, 1),
-                                      Ipv4Address::Of(2, 2, 2, 2), 9, 80, 64));
-  EXPECT_TRUE(out.meta.dropped);
+  EXPECT_TRUE(Drops(dp, 1, 80));
+  EXPECT_FALSE(Drops(dp, 1, 443));
 }
 
 TEST(AtomicUpdateTest, FailedRemoveRestoresRemovedTenants) {
   DataPlane dp(SmallSwitch());
   ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
   ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
+  const Sfc replacement = MakeSfc(1, 443);
+  const auto plan = dp.PlanSfc(replacement);
 
-  // Remove tenant 1, then "remove" a tenant that does not exist.
-  const auto result = dp.ApplyAtomic({
-      Op{Op::Kind::kRemove, MakeSfc(1, 80)},
-      Op{Op::Kind::kRemove, MakeSfc(9, 443)},
-  });
+  AllocationResult result;
+  {
+    // The fault lands after the old entries came out, before the new
+    // plan goes in.
+    ScopedFaultPlan faults({.seed = 1, .faults = {FaultSpec::Nth("dataplane.apply_op", 2)}});
+    result = dp.SwapSfc(1, &replacement, &plan);
+  }
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.failed_op, 1);
-  EXPECT_EQ(result.error, "tenant not allocated");
+  EXPECT_TRUE(result.transient());
+  EXPECT_NE(result.error.find("dataplane.apply_op"), std::string::npos) << result.error;
   // Tenant 1 was restored with working rules.
   ASSERT_TRUE(dp.IsAllocated(1));
-  auto out = dp.Process(MakeTcpPacket(1, Ipv4Address::Of(1, 1, 1, 1),
-                                      Ipv4Address::Of(2, 2, 2, 2), 9, 80, 64));
-  EXPECT_TRUE(out.meta.dropped);
+  EXPECT_TRUE(Drops(dp, 1, 80));
+  EXPECT_FALSE(Drops(dp, 1, 443));
 }
 
 TEST(AtomicUpdateTest, RemoveThenReadmitSwapsInPlace) {
@@ -113,22 +110,24 @@ TEST(AtomicUpdateTest, RemoveThenReadmitSwapsInPlace) {
   ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
   ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
 
-  const auto result = dp.ApplyAtomic({
-      Op{Op::Kind::kRemove, MakeSfc(1, 80)},
-      Op{Op::Kind::kAdmit, MakeSfc(1, 443)},  // same tenant, new config
-  });
+  const Sfc replacement = MakeSfc(1, 443);  // same tenant, new config
+  const auto plan = dp.PlanSfc(replacement);
+  const auto result = dp.SwapSfc(1, &replacement, &plan);
   ASSERT_TRUE(result.ok) << result.error;
-  auto p80 = dp.Process(MakeTcpPacket(1, Ipv4Address::Of(1, 1, 1, 1),
-                                      Ipv4Address::Of(2, 2, 2, 2), 9, 80, 64));
-  auto p443 = dp.Process(MakeTcpPacket(1, Ipv4Address::Of(1, 1, 1, 1),
-                                       Ipv4Address::Of(2, 2, 2, 2), 9, 443, 64));
-  EXPECT_FALSE(p80.meta.dropped);
-  EXPECT_TRUE(p443.meta.dropped);
+  EXPECT_FALSE(Drops(dp, 1, 80));
+  EXPECT_TRUE(Drops(dp, 1, 443));
 }
 
 TEST(AtomicUpdateTest, EmptyBatchIsNoOp) {
+  // A swap with nothing to take out and nothing to put in mutates no
+  // table.
   DataPlane dp(SmallSwitch());
-  EXPECT_TRUE(dp.ApplyAtomic({}).ok);
+  ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
+  ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
+  const auto epoch = dp.pipeline().table_mutation_epoch()->Value();
+  EXPECT_TRUE(dp.SwapSfc(9, nullptr, nullptr).ok);
+  EXPECT_EQ(dp.pipeline().table_mutation_epoch()->Value(), epoch);
+  EXPECT_TRUE(dp.IsAllocated(1));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Chaos harness (the tentpole's acceptance test): concurrent
-// AdmitTenant / RemoveTenant / ProcessBatch under randomized fault
-// plans, with conservation invariants asserted after every round, plus
-// a sequential byte-for-byte deterministic-replay check.
+// Chaos harness: concurrent AdmitTenant / ReprovisionTenant /
+// RemoveTenant / ProcessBatch under randomized fault plans, with
+// conservation invariants (the eq. 26 books exactly) asserted after
+// every round, plus a sequential byte-for-byte deterministic-replay
+// check.
 //
 // Round count defaults to 500 and is overridable via SFP_CHAOS_ROUNDS
 // (the TSan CI job runs fewer iterations).
@@ -16,6 +17,7 @@
 
 #include "common/faultinject.h"
 #include "common/rng.h"
+#include "controlplane/admission_ledger.h"
 #include "core/sfp_system.h"
 #include "nf/firewall.h"
 #include "nf/router.h"
@@ -110,7 +112,7 @@ FaultPlan RandomPlan(std::uint64_t seed, Rng& rng) {
   const char* kPoints[] = {
       "switchsim.table.add_entry", "switchsim.pipeline.serve",
       "dataplane.install_rule",    "dataplane.apply_op",
-      "controlplane.solver_deadline",
+      "controlplane.solver_deadline", "core.reprovision",
   };
   for (const char* point : kPoints) {
     if (!rng.Bernoulli(0.5)) continue;
@@ -148,21 +150,29 @@ void CheckInvariants(SfpSystem& system,
   ASSERT_EQ(stats.tenants, static_cast<int>(admitted.size()));
 
   // Rule-entry conservation: the switch holds exactly the admitted
-  // tenants' entries — nothing leaked by failed admissions, removals,
-  // or unwound partial installs.
+  // tenants' entries — nothing leaked by failed admissions, swaps,
+  // removals, or unwound partial installs.
   std::int64_t expected_entries = 0;
-  double expected_backplane = 0.0;
+  std::int64_t expected_backplane_bps = 0;
   for (const auto& [tenant, sfc] : admitted) {
-    ASSERT_TRUE(system.data_plane().IsAllocated(tenant)) << "tenant " << tenant;
+    const auto* allocation = system.data_plane().FindAllocation(tenant);
+    ASSERT_NE(allocation, nullptr) << "tenant " << tenant;
     expected_entries += ExpectedEntries(sfc);
+    controlplane::TenantFootprint footprint;
+    footprint.bandwidth_gbps = sfc.bandwidth_gbps;
+    footprint.passes = allocation->passes;
+    expected_backplane_bps += controlplane::AdmissionLedger::Quantize(footprint).backplane_bps;
   }
   ASSERT_EQ(stats.entries_used, expected_entries);
 
-  // Backplane conservation (eq. 26): the admitted charge never exceeds
+  // Backplane conservation (eq. 26): the ledger books exactly the
+  // installed passes x T of every admitted tenant (quantized like the
+  // ledger, so the totals compare bit for bit), and that never exceeds
   // capacity, whatever faults did.
+  ASSERT_EQ(stats.backplane_gbps, static_cast<double>(expected_backplane_bps) /
+                                      controlplane::AdmissionLedger::kUnitsPerGbps);
   ASSERT_LE(stats.backplane_gbps,
             system.data_plane().pipeline().config().backplane_gbps + 1e-9);
-  (void)expected_backplane;
 
   // Telemetry conservation: every served packet was recorded exactly
   // once (departed series are retained under the default policy).
@@ -188,6 +198,8 @@ void RunConcurrentChurn(bool compiled) {
   Rng rng(0xC4A05u);
   std::map<dataplane::TenantId, Sfc> admitted;
   std::uint64_t packets_sent = 0;
+  int swapped = 0;  // re-provisions that replaced the allocation
+  int kept = 0;     // rejected or rolled back: the old one serves on
   constexpr int kTenantSlots = 8;
   constexpr int kBatch = 96;
 
@@ -218,6 +230,25 @@ void RunConcurrentChurn(bool compiled) {
           if (rng.Bernoulli(0.5)) {
             ASSERT_TRUE(system.RemoveTenant(tenant));
             admitted.erase(tenant);
+          } else if (rng.Bernoulli(0.6)) {
+            // Re-provision the same chain, sometimes at a raised
+            // bandwidth that eq. 26 may reject.
+            Sfc sfc = admitted.at(tenant);
+            if (rng.Bernoulli(0.5)) sfc.bandwidth_gbps *= rng.UniformDouble(1.0, 6.0);
+            const auto result = system.ReprovisionTenant(sfc, FastRetry());
+            if (result.admitted) {
+              ++swapped;
+              admitted[tenant] = sfc;
+            } else if (result.code == AdmitCode::kDiverged) {
+              // The rollback kept faulting: the tenant lost its rules
+              // and its admission.
+              ASSERT_FALSE(system.data_plane().IsAllocated(tenant));
+              admitted.erase(tenant);
+            } else {
+              // Rejected or rolled back: the old allocation serves on.
+              ASSERT_TRUE(system.data_plane().IsAllocated(tenant)) << result.reason;
+              ++kept;
+            }
           }
         } else if (rng.Bernoulli(0.7)) {
           const Sfc sfc = RandomSfc(tenant, rng);
@@ -238,6 +269,9 @@ void RunConcurrentChurn(bool compiled) {
     // Quiesced + disarmed: every invariant must hold.
     CheckInvariants(system, admitted, packets_sent);
   }
+
+  EXPECT_GT(swapped, 0);
+  EXPECT_GT(kept, 0);
 
   // Drain: after removing every tenant the switch must be empty.
   for (const auto& [tenant, sfc] : admitted) ASSERT_TRUE(system.RemoveTenant(tenant));

@@ -323,13 +323,10 @@ TEST(CompilerChurnTest, InvalidationUnderRuleChurnStaysBitIdentical) {
       case 2: {  // fig11: atomically swap tenant 3's rules
         auto replacement = base[3];
         replacement.chain.push_back(Fw(static_cast<std::uint16_t>(1000 + round)));
-        const std::vector<dataplane::DataPlane::UpdateOp> ops = {
-            {dataplane::DataPlane::UpdateOp::Kind::kRemove, base[3]},
-            {dataplane::DataPlane::UpdateOp::Kind::kAdmit, replacement}};
-        const auto a = interpreted.data_plane().ApplyAtomic(ops);
-        const auto b = compiled.data_plane().ApplyAtomic(ops);
-        ASSERT_TRUE(a.ok) << a.error;
-        ASSERT_TRUE(b.ok) << b.error;
+        const auto a = interpreted.ReprovisionTenant(replacement);
+        const auto b = compiled.ReprovisionTenant(replacement);
+        ASSERT_TRUE(a.admitted) << a.reason;
+        ASSERT_TRUE(b.admitted) << b.reason;
         base[3] = std::move(replacement);
         break;
       }

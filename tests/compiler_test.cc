@@ -460,9 +460,9 @@ TEST(PlanCacheTest, OtherTenantsRuleChangesLeaveThePlanValid) {
   ASSERT_TRUE(dp.AllocateSfc(b).ok);
   Sfc swapped = b;
   swapped.chain = {TcConfig(5), RtConfig()};
-  using Op = DataPlane::UpdateOp;
-  const auto batch = dp.ApplyAtomic({{Op::Kind::kRemove, b}, {Op::Kind::kAdmit, swapped}});
-  ASSERT_TRUE(batch.ok) << batch.error;
+  const auto swap_plan = dp.PlanSfc(swapped);
+  const auto swap = dp.SwapSfc(b.tenant, &swapped, &swap_plan);
+  ASSERT_TRUE(swap.ok) << swap.error;
   ASSERT_GT(dp.pipeline().table_mutation_epoch()->Value(), mutations);
 
   EXPECT_TRUE(plan->Validate());

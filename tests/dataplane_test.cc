@@ -307,5 +307,39 @@ TEST(DataPlaneTest, RecirculatedLatencyMatchesTimingModel) {
               timing.LatencyNs(out.active_stages, out.idle_stages, out.passes), 1e-9);
 }
 
+// A chain whose NFs land in two tables of one stage must fit the
+// stage's blocks with both of its own pending installs counted, under
+// every planner: stage 0 hosts the firewall and the classifier (one
+// block each), and each NF needs 11 entries (2 blocks), so the two
+// together would take 4 of the stage's 3 blocks.
+TEST(DataPlaneTest, PlannersCountEveryPendingEntryInTheStage) {
+  for (const int planner : {0, 1, 2}) {
+    SCOPED_TRACE("planner " + std::to_string(planner));
+    SwitchConfig config;
+    config.num_stages = 2;
+    config.blocks_per_stage = 3;
+    config.entries_per_block = 10;
+    config.nf_parallelism = planner == 1;
+    config.cross_tenant_packing = planner == 2;
+    DataPlane dp(config);
+    ASSERT_TRUE(dp.InstallPhysicalNf(0, NfType::kFirewall));
+    ASSERT_TRUE(dp.InstallPhysicalNf(0, NfType::kClassifier));
+
+    Sfc sfc;
+    sfc.tenant = 1;
+    sfc.chain = {FirewallBlocking(1), ClassifierConfig(1)};
+    for (std::uint16_t port = 2; port <= 10; ++port) {
+      sfc.chain[0].rules.push_back(FirewallBlocking(port).rules[0]);
+      sfc.chain[1].rules.push_back(nf::Classifier::ClassifyByPort(port, port, 2));
+    }
+    const auto result = dp.AllocateSfc(sfc);
+    EXPECT_FALSE(result.ok) << "placed over " << result.passes << " pass(es)";
+    EXPECT_EQ(result.code, AllocCode::kNoPlacement);
+    for (int k = 0; k < config.num_stages; ++k) {
+      EXPECT_LE(dp.pipeline().stage(k).BlocksUsed(), config.blocks_per_stage) << "stage " << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sfp::dataplane

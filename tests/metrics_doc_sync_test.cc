@@ -149,7 +149,7 @@ void ExportAllFamilies(common::metrics::Registry& registry) {
     packets.insert(packets.end(), flows.begin(), flows.end());
   }
   system.ProcessBatch(packets);
-  ASSERT_TRUE(system.ReprovisionTenant(admitted[0]).ok);
+  ASSERT_TRUE(system.ReprovisionTenant(admitted[0]).admitted);
   ASSERT_TRUE(system.RemoveTenant(admitted[1].tenant));
   system.ExportMetrics(registry);
 }

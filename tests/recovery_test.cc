@@ -273,25 +273,6 @@ TEST(RecoveryControllerTest, TransientFaultRecoversAfterBackoff) {
   EXPECT_EQ(recovery.counters().successes, 1u);
 }
 
-TEST(RecoveryControllerTest, NoteLostTenantsRepairsWithoutTelemetry) {
-  auto system = MakeSystem();
-  const Sfc sfc = MultiPassSfc(1);
-  ASSERT_TRUE(system.AdmitTenant(sfc).admitted);
-
-  RecoveryController recovery(system);
-  recovery.TrackTenant(sfc, 2);
-  system.data_plane().DeallocateSfc(1);
-
-  const std::vector<dataplane::TenantId> lost = {1};
-  recovery.NoteLostTenants(lost, 2.0);
-  EXPECT_EQ(recovery.DegradedTenants(), std::vector<dataplane::TenantId>{1});
-  recovery.Poll(2.5);
-  ASSERT_EQ(recovery.episodes().size(), 1u);
-  EXPECT_EQ(recovery.episodes()[0].cause, "lost");
-  EXPECT_DOUBLE_EQ(recovery.episodes()[0].detected_s, 2.0);
-  EXPECT_TRUE(system.data_plane().IsAllocated(1));
-}
-
 TEST(RecoveryControllerTest, UntrackedTenantIsIgnored) {
   auto system = MakeSystem();
   const Sfc sfc = MultiPassSfc(1);

@@ -1,8 +1,8 @@
-// Fault-injection tests for atomic-update rollback (§V-E under
-// failures): an injected fault at every op index must leave the data
-// plane byte-for-byte equivalent to the pre-batch state, and a double
-// fault (rollback restore also failing) must be reported as a
-// consistency divergence instead of silently losing tenants.
+// Fault-injection tests for swap rollback (§V-E under failures): an
+// injected fault at either step of DataPlane::SwapSfc must leave the
+// data plane byte-for-byte equivalent to the pre-swap state, and a
+// double fault (the restore also failing) must be reported as a
+// divergence instead of silently losing the tenant.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,7 +19,6 @@ using common::faultinject::FaultSpec;
 using common::faultinject::ScopedFaultPlan;
 using net::Ipv4Address;
 using net::MakeTcpPacket;
-using Op = DataPlane::UpdateOp;
 
 nf::NfConfig Fw(std::uint16_t port, int extra_rules = 0) {
   nf::NfConfig config;
@@ -70,71 +69,85 @@ std::vector<bool> ProbeFingerprint(DataPlane& dp) {
   return dropped;
 }
 
+/// Installs tenant 1 (port 80) and a bystander tenant 2 (port 22).
+void InstallTwoTenants(DataPlane& dp) {
+  ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
+  ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
+  ASSERT_TRUE(dp.AllocateSfc(MakeSfc(2, 22)).ok);
+}
+
 TEST(RollbackFaultTest, InjectedFaultAtEveryOpIndexRollsBack) {
-  const std::vector<Op> ops = {
-      Op{Op::Kind::kRemove, MakeSfc(1, 80)},
-      Op{Op::Kind::kAdmit, MakeSfc(2, 443)},
-      Op{Op::Kind::kAdmit, MakeSfc(3, 22)},
-  };
-  for (std::size_t fail_at = 0; fail_at < ops.size(); ++fail_at) {
-    SCOPED_TRACE("fault before op " + std::to_string(fail_at));
-    DataPlane dp(SmallSwitch());
-    ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
-    ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
-    const auto entries_before = dp.pipeline().TotalEntriesUsed();
-    const auto fingerprint_before = ProbeFingerprint(dp);
+  // A replacing swap has two steps: take the old entries out, put the
+  // new plan in. "dataplane.apply_op" is checked before each. With
+  // cross_tenant_packing the restore must also put back the tenant's
+  // stage-window claims and retained SFC.
+  const Sfc replacement = MakeSfc(1, 443, /*extra_rules=*/2);
+  for (const bool xt : {false, true}) {
+    for (std::size_t fail_at = 0; fail_at < 2; ++fail_at) {
+      SCOPED_TRACE(std::string(xt ? "cross-tenant, " : "") + "fault before step " +
+                   std::to_string(fail_at));
+      switchsim::SwitchConfig config = SmallSwitch();
+      config.cross_tenant_packing = xt;
+      DataPlane dp(config);
+      ASSERT_NO_FATAL_FAILURE(InstallTwoTenants(dp));
+      const auto entries_before = dp.pipeline().TotalEntriesUsed();
+      const auto fingerprint_before = ProbeFingerprint(dp);
+      const auto placements_before = dp.FindAllocation(1)->placements;
+      const auto plan = dp.PlanSfc(replacement);
 
-    DataPlane::BatchResult result;
-    {
-      ScopedFaultPlan plan(
-          {.seed = 1, .faults = {FaultSpec::Nth("dataplane.apply_op", fail_at + 1)}});
-      result = dp.ApplyAtomic(ops);
+      AllocationResult result;
+      {
+        ScopedFaultPlan faults(
+            {.seed = 1, .faults = {FaultSpec::Nth("dataplane.apply_op", fail_at + 1)}});
+        result = dp.SwapSfc(1, &replacement, &plan);
+      }
+      EXPECT_FALSE(result.ok);
+      EXPECT_EQ(result.code, AllocCode::kInstallFault);
+      EXPECT_NE(result.error.find("dataplane.apply_op"), std::string::npos) << result.error;
+
+      // Differential check: identical resources, placements and packet
+      // verdicts to the pre-swap plane.
+      ASSERT_TRUE(dp.IsAllocated(1));
+      EXPECT_EQ(dp.FindAllocation(1)->placements.size(), placements_before.size());
+      EXPECT_EQ(dp.FindAllocation(1)->placements[0].pass, placements_before[0].pass);
+      EXPECT_TRUE(dp.IsAllocated(2));
+      EXPECT_EQ(dp.pipeline().TotalEntriesUsed(), entries_before);
+      EXPECT_EQ(ProbeFingerprint(dp), fingerprint_before);
+      EXPECT_TRUE(dp.AuditXtLedger().empty());
+      EXPECT_EQ(dp.RetainedSfc(1) != nullptr, xt);
+
+      // The same plan still applies once the fault is gone.
+      ASSERT_TRUE(dp.SwapSfc(1, &replacement, &plan).ok);
+      EXPECT_TRUE(dp.AuditXtLedger().empty());
     }
-    EXPECT_FALSE(result.ok);
-    EXPECT_EQ(result.failed_op, static_cast<int>(fail_at));
-    EXPECT_EQ(result.error, "injected fault before op");
-    EXPECT_EQ(result.consistency, DataPlane::BatchResult::Consistency::kConsistent);
-
-    // Differential check: identical resources and identical packet
-    // verdicts to the pre-batch plane.
-    EXPECT_TRUE(dp.IsAllocated(1));
-    EXPECT_FALSE(dp.IsAllocated(2));
-    EXPECT_FALSE(dp.IsAllocated(3));
-    EXPECT_EQ(dp.pipeline().TotalEntriesUsed(), entries_before);
-    EXPECT_EQ(ProbeFingerprint(dp), fingerprint_before);
   }
 }
 
 TEST(RollbackFaultTest, TableInstallFaultDuringBatchAdmitRollsBack) {
   // Same differential check, but the fault fires inside the switch
-  // table (switchsim.table.add_entry) during the batch's admit op.
+  // table (switchsim.table.add_entry) while the swap installs the new
+  // plan.
   DataPlane dp(SmallSwitch());
-  ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
-  ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
+  ASSERT_NO_FATAL_FAILURE(InstallTwoTenants(dp));
   const auto entries_before = dp.pipeline().TotalEntriesUsed();
   const auto fingerprint_before = ProbeFingerprint(dp);
+  const Sfc replacement = MakeSfc(1, 443, /*extra_rules=*/2);
+  const auto plan = dp.PlanSfc(replacement);
 
-  DataPlane::BatchResult result;
+  AllocationResult result;
   {
-    // Hit #1 of add_entry lands in tenant 3's install (ops run in
-    // order; the remove does not add entries; tenant 2's install, with
-    // max_fires capping, is allowed through by targeting the Nth hit
-    // after tenant 2's two entries: rule + catch-all).
-    ScopedFaultPlan plan(
+    // Hit #3 of add_entry is the replacement's third rule; the first
+    // two were installed and must be unwound.
+    ScopedFaultPlan faults(
         {.seed = 1, .faults = {FaultSpec::Nth("switchsim.table.add_entry", 3)}});
-    result = dp.ApplyAtomic({
-        Op{Op::Kind::kAdmit, MakeSfc(2, 443)},
-        Op{Op::Kind::kAdmit, MakeSfc(3, 22)},
-    });
+    result = dp.SwapSfc(1, &replacement, &plan);
   }
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.failed_op, 1);
+  EXPECT_EQ(result.code, AllocCode::kInstallFault);
   EXPECT_NE(result.error.find("transient rule-install failure"), std::string::npos)
       << result.error;
-  EXPECT_EQ(result.consistency, DataPlane::BatchResult::Consistency::kConsistent);
   EXPECT_TRUE(dp.IsAllocated(1));
-  EXPECT_FALSE(dp.IsAllocated(2));
-  EXPECT_FALSE(dp.IsAllocated(3));
+  EXPECT_TRUE(dp.IsAllocated(2));
   EXPECT_EQ(dp.pipeline().TotalEntriesUsed(), entries_before);
   EXPECT_EQ(ProbeFingerprint(dp), fingerprint_before);
 }
@@ -162,31 +175,28 @@ TEST(RollbackFaultTest, AllocateUnwindsPartialInstallOnFault) {
 
 TEST(RollbackFaultTest, DoubleFaultDuringRollbackReportsDivergence) {
   DataPlane dp(SmallSwitch());
-  ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
-  ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
+  ASSERT_NO_FATAL_FAILURE(InstallTwoTenants(dp));
+  const Sfc replacement = MakeSfc(1, 443);
+  const auto plan = dp.PlanSfc(replacement);
 
-  DataPlane::BatchResult result;
+  AllocationResult result;
   {
-    // Op 0 removes tenant 1; the injected fault before op 1 triggers
-    // rollback; every restore attempt for tenant 1 then hits a
-    // persistent install fault. The plane must report the divergence
-    // (and which tenants were lost) instead of aborting.
-    ScopedFaultPlan plan({.seed = 1,
-                          .faults = {FaultSpec::Nth("dataplane.apply_op", 2),
-                                     FaultSpec::Always("dataplane.install_rule")}});
-    result = dp.ApplyAtomic({
-        Op{Op::Kind::kRemove, MakeSfc(1, 80)},
-        Op{Op::Kind::kAdmit, MakeSfc(2, 443)},
-    });
+    // The fault before the install step triggers the rollback; every
+    // restore attempt for tenant 1 then hits a persistent install
+    // fault. The plane must report the divergence instead of aborting.
+    ScopedFaultPlan faults({.seed = 1,
+                            .faults = {FaultSpec::Nth("dataplane.apply_op", 2),
+                                       FaultSpec::Always("dataplane.install_rule")}});
+    result = dp.SwapSfc(1, &replacement, &plan);
   }
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.failed_op, 1);
-  EXPECT_EQ(result.consistency, DataPlane::BatchResult::Consistency::kDiverged);
-  EXPECT_EQ(result.lost_tenants, (std::vector<TenantId>{1}));
+  EXPECT_EQ(result.code, AllocCode::kDiverged);
+  EXPECT_FALSE(result.transient());
   // Tenant 1 really is gone — the report is truthful — and no partial
-  // rule set was left behind.
+  // rule set was left behind; the bystander is untouched.
   EXPECT_FALSE(dp.IsAllocated(1));
-  EXPECT_FALSE(dp.IsAllocated(2));
+  EXPECT_TRUE(dp.IsAllocated(2));
+  EXPECT_EQ(dp.pipeline().TotalEntriesUsed(), 2);
   auto out = dp.Process(MakeTcpPacket(1, Ipv4Address::Of(1, 1, 1, 1),
                                       Ipv4Address::Of(2, 2, 2, 2), 9, 80, 64));
   EXPECT_FALSE(out.meta.dropped);  // tenant 1's deny rule no longer matches
@@ -194,27 +204,24 @@ TEST(RollbackFaultTest, DoubleFaultDuringRollbackReportsDivergence) {
 
 TEST(RollbackFaultTest, RetriedRestoreSucceedsAndStaysConsistent) {
   DataPlane dp(SmallSwitch());
-  ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kFirewall));
-  ASSERT_TRUE(dp.AllocateSfc(MakeSfc(1, 80)).ok);
+  ASSERT_NO_FATAL_FAILURE(InstallTwoTenants(dp));
   const auto fingerprint_before = ProbeFingerprint(dp);
+  const Sfc replacement = MakeSfc(1, 443);
+  const auto plan = dp.PlanSfc(replacement);
 
-  DataPlane::BatchResult result;
+  AllocationResult result;
   {
-    // The fault before op 1 forces rollback; the first restore attempt
-    // for tenant 1 fails once (install_rule capped at one fire) and the
-    // bounded retry then restores it.
-    ScopedFaultPlan plan({.seed = 1,
-                          .faults = {FaultSpec::Nth("dataplane.apply_op", 2),
-                                     FaultSpec::Always("dataplane.install_rule",
-                                                       /*max_fires=*/1)}});
-    result = dp.ApplyAtomic({
-        Op{Op::Kind::kRemove, MakeSfc(1, 80)},
-        Op{Op::Kind::kAdmit, MakeSfc(2, 443)},
-    });
+    // The fault before the install step forces the rollback; the first
+    // restore attempt fails once (install_rule capped at one fire) and
+    // the bounded retry then restores tenant 1.
+    ScopedFaultPlan faults({.seed = 1,
+                            .faults = {FaultSpec::Nth("dataplane.apply_op", 2),
+                                       FaultSpec::Always("dataplane.install_rule",
+                                                         /*max_fires=*/1)}});
+    result = dp.SwapSfc(1, &replacement, &plan);
   }
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.consistency, DataPlane::BatchResult::Consistency::kConsistent);
-  EXPECT_TRUE(result.lost_tenants.empty());
+  EXPECT_EQ(result.code, AllocCode::kInstallFault);
   EXPECT_TRUE(dp.IsAllocated(1));
   EXPECT_EQ(ProbeFingerprint(dp), fingerprint_before);
 }
