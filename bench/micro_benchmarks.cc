@@ -4,10 +4,12 @@
 // rounding).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -19,6 +21,9 @@
 #include "lp/simplex.h"
 #include "nf/firewall.h"
 #include "nf/nf.h"
+#include "switchsim/compiler/exec.h"
+#include "switchsim/compiler/passes.h"
+#include "switchsim/compiler/plan.h"
 #include "workload/sfc_gen.h"
 #include "lp/presolve.h"
 #include "lp/rounding.h"
@@ -180,6 +185,72 @@ void BM_TableLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TableLookup)->Arg(10)->Arg(100)->Arg(1000);
+
+// One compiled match slot's winner resolution over a tenant's firewall
+// table of `rules` generated rules plus the catch-all the data plane
+// installs: the linear scan (ScanWinner) against the interval index on
+// source IP (FindWinner). Hit-heavy probes fall inside a random rule
+// (its /24 source and its port range), miss-heavy ones are random and
+// reach the catch-all. Registered as BM_CompiledSlotDispatch/
+// {scan,interval}/{hit,miss}/{rules} in main.
+void BM_CompiledSlotDispatch(benchmark::State& state, bool indexed, bool hit, int rules) {
+  using namespace switchsim;
+  constexpr std::uint16_t kTenant = 1;
+  const auto fw = nf::MakeNf(nf::NfType::kFirewall);
+  Pipeline pipeline;
+  std::vector<MatchFieldSpec> key = {{FieldId::kTenantId, MatchKind::kExact},
+                                     {FieldId::kPass, MatchKind::kExact}};
+  for (const MatchFieldSpec& spec : fw->KeySpec()) key.push_back(spec);
+  MatchActionTable* table = pipeline.stage(0).AddTable("fw", key);
+  fw->BindActions(*table);
+  Rng rng(11);
+  const auto generated = fw->GenerateRules(rng, rules);
+  const auto prefixed = [](std::vector<FieldMatch> payload) {
+    std::vector<FieldMatch> matches = {FieldMatch::Exact(kTenant), FieldMatch::Exact(0)};
+    matches.insert(matches.end(), payload.begin(), payload.end());
+    return matches;
+  };
+  for (const nf::NfRule& rule : generated) {
+    table->AddEntry(prefixed(rule.matches), /*action=*/0, rule.args, rule.priority, kTenant);
+  }
+  table->AddEntry(prefixed(std::vector<FieldMatch>(fw->KeySpec().size(), FieldMatch::Any())),
+                  /*action=*/0, {}, -1000, kTenant);
+
+  compiler::LiftResult lifted = compiler::LiftTenant(pipeline, kTenant, nullptr);
+  if (!lifted.ok || (indexed && !compiler::BuildIntervalIndex(lifted.ir.passes[0].slots[0]))) {
+    state.SkipWithError("lowering failed");
+    return;
+  }
+  const auto plan = compiler::EmitPlan(lifted.ir, {});
+  const compiler::CompiledSlot& slot = plan->passes[0].slots[0];
+
+  constexpr std::size_t kProbes = 1024;
+  std::vector<std::array<std::uint64_t, compiler::kNumFields>> probes(kProbes);
+  for (auto& values : probes) {
+    values.fill(0);
+    values[static_cast<std::size_t>(FieldId::kSrcIp)] = rng.Next() & 0xFFFFFFFF;
+    values[static_cast<std::size_t>(FieldId::kDstPort)] = rng.Next() & 0xFFFF;
+    if (hit) {
+      const nf::NfRule& rule = generated[rng.Next() % generated.size()];
+      values[static_cast<std::size_t>(FieldId::kSrcIp)] =
+          rule.matches[0].value | (rng.Next() & 0xFF);
+      values[static_cast<std::size_t>(FieldId::kDstPort)] =
+          rule.matches[3].lo + rng.Next() % (rule.matches[3].hi - rule.matches[3].lo + 1);
+    }
+  }
+  std::size_t next = 0;
+  std::int64_t hits = 0;
+  for (auto _ : state) {
+    const std::int32_t winner = indexed ? compiler::FindWinner(*plan, slot, probes[next].data())
+                                        : compiler::ScanWinner(*plan, slot, probes[next].data());
+    benchmark::DoNotOptimize(winner);
+    hits += winner + 1 < static_cast<std::int32_t>(slot.actions.size()) ? 1 : 0;
+    next = (next + 1) % kProbes;
+  }
+  state.SetItemsProcessed(state.iterations());
+  const auto iterations = std::max<std::int64_t>(1, state.iterations());
+  state.counters["hit_pct"] = 100.0 * static_cast<double>(hits) / static_cast<double>(iterations);
+}
 
 void BM_PacketParseSerialize(benchmark::State& state) {
   auto packet = net::MakeTcpPacket(3, net::Ipv4Address::Of(10, 1, 2, 3),
@@ -460,6 +531,16 @@ class FailureTrackingReporter : public benchmark::BenchmarkReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
+  for (const bool indexed : {false, true}) {
+    for (const bool hit : {true, false}) {
+      for (const int rules : {1, 2, 8, 32, 128}) {
+        const std::string name = std::string("BM_CompiledSlotDispatch/") +
+                                 (indexed ? "interval" : "scan") + (hit ? "/hit/" : "/miss/") +
+                                 std::to_string(rules);
+        benchmark::RegisterBenchmark(name.c_str(), BM_CompiledSlotDispatch, indexed, hit, rules);
+      }
+    }
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   FailureTrackingReporter reporter(benchmark::CreateDefaultDisplayReporter());

@@ -315,11 +315,13 @@ bool SfpSystem::RemoveTenant(dataplane::TenantId tenant) {
   std::lock_guard<std::mutex> lock(*control_mutex_);
   const auto started = std::chrono::steady_clock::now();
   const bool known = ledger_.Contains(tenant);
-  if (known) {
-    Transact(tenant, nullptr, {}, /*reprovision=*/false);
-    telemetry_.MarkDeparted(tenant);
-    if (data_plane_.pipeline().config().cross_tenant_packing) CompactAfterDeparture();
-  }
+  if (known) Transact(tenant, nullptr, {}, /*reprovision=*/false);
+  // Also when the ledger no longer books the tenant, if its series is
+  // still live: a diverged re-provision lost its rules and its booking
+  // but not its series. An already departed series keeps its place in
+  // the departure order (the departed-series cap evicts the oldest).
+  if (known || !telemetry_.IsDeparted(tenant)) telemetry_.MarkDeparted(tenant);
+  if (known && data_plane_.pipeline().config().cross_tenant_packing) CompactAfterDeparture();
   ObserveSince(*remove_latency_ns_, started);
   return known;
 }

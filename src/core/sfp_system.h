@@ -157,7 +157,9 @@ class SfpSystem {
 
   /// Removes a tenant, releases its resources, and applies the
   /// telemetry retention policy to its series. Returns false if the
-  /// tenant is unknown. With SwitchConfig::cross_tenant_packing the
+  /// ledger does not book the tenant (never admitted, already removed,
+  /// or lost to a diverged re-provision); the retention policy still
+  /// applies to any live series it left. With SwitchConfig::cross_tenant_packing the
   /// departure also runs window compaction: remaining multi-pass
   /// tenants whose chains now re-plan into fewer passes (the departed
   /// tenant's windows freed capacity) are moved through the

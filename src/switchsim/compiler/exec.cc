@@ -136,20 +136,6 @@ inline std::uint64_t ExtractField(const net::Packet& packet, const PacketMeta& m
   return 0;
 }
 
-inline bool OpMatches(const CompiledOp& op, const std::uint64_t* values) {
-  const std::uint64_t value = values[op.field];
-  switch (op.kind) {
-    case MatchKind::kExact:
-      return value == op.a;
-    case MatchKind::kTernary:
-    case MatchKind::kLpm:
-      return (value & op.b) == op.a;
-    case MatchKind::kRange:
-      return value >= op.a && value <= op.b;
-  }
-  return false;
-}
-
 /// Inline dispatch of a compiled action. Each opcode is a bit-exact
 /// transliteration of the NF library's registered callback (see
 /// action_traits.h); kOpaque runs the callback itself.
@@ -256,30 +242,13 @@ void Pipeline::ExecuteCompiled(const compiler::CompiledPlan& plan,
       for (std::uint32_t s = 0; s < group.slot_count; ++s) {
         const compiler::CompiledSlot& slot = pass.slots[group.slot_begin + s];
         if (slot.kind == SlotKind::kDead) continue;
-        winner[live] = -1;
         if (slot.kind == SlotKind::kAlways) {
           winner[live++] = 0;
-          continue;
+        } else if (slot.kind == SlotKind::kInterval) {
+          winner[live++] = compiler::FindWinner(plan, slot, values);
+        } else {
+          winner[live++] = compiler::ScanWinner(plan, slot, values);
         }
-        const std::size_t entries = slot.op_begin.size();
-        for (std::size_t e = 0; e < entries; ++e) {
-          const std::uint32_t begin = slot.op_begin[e];
-          const std::uint16_t count = slot.op_count[e];
-          bool match = true;
-          for (std::uint16_t o = 0; o < count; ++o) {
-            if (!compiler::OpMatches(plan.ops[begin + o], values)) {
-              match = false;
-              break;
-            }
-          }
-          if (match) {
-            // Entries are pre-sorted in winner order, so the first
-            // full match is the lookup winner.
-            winner[live] = static_cast<std::int32_t>(e);
-            break;
-          }
-        }
-        ++live;
       }
       // Commit counters and run actions in slot (program) order. Dead
       // slots take the miss/default path without consuming a winner.

@@ -36,6 +36,73 @@ class Pipeline;
 
 namespace sfp::switchsim::compiler {
 
+/// One precomputed predicate against the extracted field values
+/// (indexed by FieldId).
+inline bool OpMatches(const CompiledOp& op, const std::uint64_t* values) {
+  const std::uint64_t value = values[op.field];
+  switch (op.kind) {
+    case MatchKind::kExact:
+      return value == op.a;
+    case MatchKind::kTernary:
+    case MatchKind::kLpm:
+      return (value & op.b) == op.a;
+    case MatchKind::kRange:
+      return value >= op.a && value <= op.b;
+  }
+  return false;
+}
+
+/// True when every op of `slot`'s entry `e` holds.
+inline bool EntryMatches(const CompiledPlan& plan, const CompiledSlot& slot, std::uint32_t e,
+                         const std::uint64_t* values) {
+  const CompiledOp* op = plan.ops.data() + slot.op_begin[e];
+  const CompiledOp* const end = op + slot.op_count[e];
+  while (op != end && OpMatches(*op, values)) ++op;
+  return op == end;
+}
+
+/// The winning entry of a kMatch `slot` for the extracted field values,
+/// or -1 on a miss: the first entry (in winner order) whose ops all
+/// hold.
+inline std::int32_t ScanWinner(const CompiledPlan& plan, const CompiledSlot& slot,
+                               const std::uint64_t* values) {
+  const auto entries = static_cast<std::uint32_t>(slot.op_begin.size());
+  for (std::uint32_t e = 0; e < entries; ++e) {
+    if (EntryMatches(plan, slot, e, values)) return static_cast<std::int32_t>(e);
+  }
+  return -1;
+}
+
+/// The winning entry of a kInterval `slot` for the extracted field
+/// values, or -1 on a miss: a branch-free binary search finds the
+/// interval holding the indexed field's value, and the first of its
+/// candidates (in winner order) whose ops all hold wins.
+inline std::int32_t FindWinner(const CompiledPlan& plan, const CompiledSlot& slot,
+                               const std::uint64_t* values) {
+  const std::uint32_t* bounds = plan.bounds.data() + slot.interval_begin;
+  std::uint32_t first = 0;
+  std::uint32_t count = slot.interval_count;
+  if (count > 1) {
+    const std::uint64_t value = values[slot.index_field];
+    while (count > 1) {
+      const std::uint32_t half = count / 2;
+      first = bounds[first + half] <= value ? first + half : first;
+      count -= half;
+    }
+  }
+  const std::uint32_t word = plan.words[slot.interval_begin + first];
+  if (word == kNoCandidate) return -1;
+  if ((word & kSingleCandidate) != 0) {
+    const std::uint32_t e = word & ~kSingleCandidate;
+    return EntryMatches(plan, slot, e, values) ? static_cast<std::int32_t>(e) : -1;
+  }
+  const std::uint32_t* list = plan.candidates.data() + slot.list_begin + word;  // count, entries
+  for (std::uint32_t c = 1; c <= list[0]; ++c) {
+    if (EntryMatches(plan, slot, list[c], values)) return static_cast<std::int32_t>(list[c]);
+  }
+  return -1;
+}
+
 /// Buffered counter deltas for one plan on one worker.
 struct PlanDeltas {
   struct TableCounts {

@@ -32,11 +32,11 @@ struct RawTable {
   std::vector<std::size_t> payload_fields;
 };
 
-IrAction MakeAction(const RawTable& rt, ActionId id, const ActionArgs& args,
+IrAction MakeAction(const RawTable& rt, ActionId id, ActionArgs args,
                     const ActionMetadata* metadata) {
   IrAction act;
   act.action = id;
-  act.args = args;
+  act.args = std::move(args);
   act.fn = rt.snap.actions[static_cast<std::size_t>(id)];
   act.name = rt.snap.action_names[static_cast<std::size_t>(id)];
   if (const ActionTraits* traits =
@@ -47,8 +47,10 @@ IrAction MakeAction(const RawTable& rt, ActionId id, const ActionArgs& args,
 }
 
 /// Builds the slot for one (table, pass); `pass` empty builds the tail
-/// form (no entries: every packet misses).
-IrSlot BuildSlot(const RawTable& rt, std::optional<std::uint64_t> pass,
+/// form (no entries: every packet misses). Moves the pass's entries'
+/// patterns and arguments out of the snapshot: each snapshot entry
+/// names one pass, so it lifts into one slot.
+IrSlot BuildSlot(RawTable& rt, std::optional<std::uint64_t> pass,
                  const ActionMetadata* metadata) {
   IrSlot slot;
   slot.table = rt.table;
@@ -60,33 +62,46 @@ IrSlot BuildSlot(const RawTable& rt, std::optional<std::uint64_t> pass,
                                   rt.snap.default_action->second, metadata);
     slot.writes |= slot.default_act->traits.writes;
   }
-  if (pass) {
-    // The snapshot holds only this tenant's entries (LiftTenant has
-    // rejected any that wildcard the prefix), so the pass decides.
-    for (const TableEntry& entry : rt.snap.entries) {
-      if (entry.matches[rt.pass_field].value != *pass) continue;
-      IrEntry ie;
-      ie.matches = entry.matches;
-      ie.priority = entry.priority;
-      ie.handle = entry.handle;
-      ie.prefix_score = PrefixScoreOf(slot.key, entry.matches);
-      ie.always_matches = true;
-      for (const std::size_t f : slot.payload_fields) {
-        if (!IsWildcardMatch(entry.matches[f], slot.key[f].kind, slot.key[f].field)) {
-          ie.always_matches = false;
-          slot.reads |= FieldBit(slot.key[f].field);
-        }
+  if (!pass) return slot;
+
+  // The snapshot holds only this tenant's entries (LiftTenant has
+  // rejected any that wildcard the prefix), so the pass decides. Sort
+  // small keys into winner order, then build the entries in that order.
+  struct WinnerKey {
+    int priority;
+    int prefix_score;
+    EntryHandle handle;
+    std::size_t index;
+  };
+  std::vector<WinnerKey> order;
+  for (std::size_t i = 0; i < rt.snap.entries.size(); ++i) {
+    const TableEntry& entry = rt.snap.entries[i];
+    // Empty patterns: already moved into an earlier pass's slot.
+    if (entry.matches.empty() || entry.matches[rt.pass_field].value != *pass) continue;
+    order.push_back({entry.priority, PrefixScoreOf(slot.key, entry.matches), entry.handle, i});
+  }
+  std::sort(order.begin(), order.end(), [](const WinnerKey& a, const WinnerKey& b) {
+    if (a.priority != b.priority) return a.priority > b.priority;
+    if (a.prefix_score != b.prefix_score) return a.prefix_score > b.prefix_score;
+    return a.handle < b.handle;
+  });
+  slot.entries.reserve(order.size());
+  for (const WinnerKey& key : order) {
+    TableEntry& entry = rt.snap.entries[key.index];
+    IrEntry& ie = slot.entries.emplace_back();
+    ie.priority = entry.priority;
+    ie.handle = entry.handle;
+    ie.prefix_score = key.prefix_score;
+    ie.always_matches = true;
+    for (const std::size_t f : slot.payload_fields) {
+      if (!IsWildcardMatch(entry.matches[f], slot.key[f].kind, slot.key[f].field)) {
+        ie.always_matches = false;
+        slot.reads |= FieldBit(slot.key[f].field);
       }
-      ie.act = MakeAction(rt, entry.action, entry.args, metadata);
-      slot.writes |= ie.act.traits.writes;
-      slot.entries.push_back(std::move(ie));
     }
-    std::sort(slot.entries.begin(), slot.entries.end(),
-              [](const IrEntry& a, const IrEntry& b) {
-                if (a.priority != b.priority) return a.priority > b.priority;
-                if (a.prefix_score != b.prefix_score) return a.prefix_score > b.prefix_score;
-                return a.handle < b.handle;
-              });
+    ie.act = MakeAction(rt, entry.action, std::move(entry.args), metadata);
+    slot.writes |= ie.act.traits.writes;
+    ie.matches.swap(entry.matches);  // leaves the snapshot's patterns empty
   }
   return slot;
 }
@@ -112,6 +127,11 @@ std::uint64_t FieldMaxValue(FieldId field) {
   return ~0ULL;
 }
 
+std::uint64_t LpmMask(int prefix_len) {
+  if (prefix_len >= 32) return 0xFFFFFFFFULL;
+  return (0xFFFFFFFFULL << (32 - prefix_len)) & 0xFFFFFFFFULL;
+}
+
 bool IsWildcardMatch(const FieldMatch& match, MatchKind kind, FieldId field) {
   switch (kind) {
     case MatchKind::kExact:
@@ -126,6 +146,52 @@ bool IsWildcardMatch(const FieldMatch& match, MatchKind kind, FieldId field) {
       return match.lo == 0 && match.hi >= FieldMaxValue(field);
   }
   return false;
+}
+
+FieldInterval IntervalOf(const FieldMatch& match, MatchKind kind, FieldId field) {
+  using Shape = FieldInterval::Shape;
+  const std::uint64_t domain = FieldMaxValue(field);
+  FieldInterval out;
+  out.hi = domain;
+  if (IsWildcardMatch(match, kind, field)) return out;
+  // Exact, ternary and LPM all match (value & mask) == want.
+  std::uint64_t mask = ~0ULL;
+  std::uint64_t want = match.value;
+  switch (kind) {
+    case MatchKind::kExact:
+      break;
+    case MatchKind::kTernary:
+      mask = match.mask;
+      want = match.value & mask;
+      break;
+    case MatchKind::kLpm:
+      mask = LpmMask(match.prefix_len);
+      want = match.value & mask;
+      break;
+    case MatchKind::kRange:
+      if (match.lo > match.hi || match.lo > domain) {
+        out.shape = Shape::kEmpty;
+      } else {
+        out.lo = match.lo;
+        out.hi = std::min(match.hi, domain);
+      }
+      return out;
+  }
+  if ((want & ~domain) != 0) {
+    // Wants a bit no value of the field has.
+    out.shape = Shape::kEmpty;
+    return out;
+  }
+  // Bits of the domain the pattern ignores. Only a run of low bits (a
+  // prefix mask) leaves one interval.
+  const std::uint64_t ignored = domain & ~mask;
+  if ((ignored & (ignored + 1)) != 0) {
+    out.shape = Shape::kScattered;
+    return out;
+  }
+  out.lo = want;
+  out.hi = want | ignored;
+  return out;
 }
 
 LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
@@ -191,12 +257,12 @@ LiftResult LiftTenant(const Pipeline& pipeline, std::uint16_t tenant,
 
   for (std::uint64_t pass = 0; pass < num_passes; ++pass) {
     IrPass ir_pass;
-    for (const RawTable& rt : raw) {
+    for (RawTable& rt : raw) {
       ir_pass.slots.push_back(BuildSlot(rt, pass, metadata));
     }
     ir.passes.push_back(std::move(ir_pass));
   }
-  for (const RawTable& rt : raw) {
+  for (RawTable& rt : raw) {
     ir.tail.slots.push_back(BuildSlot(rt, std::nullopt, metadata));
   }
   out.ok = true;
@@ -209,6 +275,8 @@ const char* SlotKindName(SlotKind kind) {
   switch (kind) {
     case SlotKind::kMatch:
       return "match";
+    case SlotKind::kInterval:
+      return "interval";
     case SlotKind::kAlways:
       return "always";
     case SlotKind::kDead:
@@ -220,7 +288,11 @@ const char* SlotKindName(SlotKind kind) {
 void DumpPass(std::ostringstream& os, const IrPass& pass) {
   for (const IrSlot& slot : pass.slots) {
     os << "  s" << slot.stage << " " << slot.table->name() << " [" << SlotKindName(slot.kind)
-       << " group=" << slot.fusion_group << "]";
+       << " group=" << slot.fusion_group;
+    if (slot.kind == SlotKind::kInterval) {
+      os << " on=" << FieldName(slot.index.field) << " intervals=" << slot.index.bounds.size();
+    }
+    os << "]";
     for (const IrEntry& entry : slot.entries) {
       os << " {" << entry.act.name << " prio=" << entry.priority << " h=" << entry.handle;
       if (entry.always_matches) os << " always";

@@ -71,11 +71,64 @@ struct IrEntry {
 enum class SlotKind : std::uint8_t {
   /// Match the entry list in winner order; default action on miss.
   kMatch,
+  /// Interval-indexed match: the packet's value of one payload field
+  /// selects an interval, and only that interval's candidates are
+  /// matched, in winner order (IrSlot::index).
+  kInterval,
   /// Constant-folded: entry 0 always wins, no matching performed.
   kAlways,
   /// Dead table: no entries for this (tenant, pass) — every packet
   /// misses (default action + miss counters only).
   kDead,
+};
+
+/// The values of one payload field that a pattern can match, as the
+/// interval index sees them.
+struct FieldInterval {
+  enum class Shape : std::uint8_t {
+    /// Matches no value the field can take (an exact value above
+    /// FieldMaxValue, say): the entry never wins.
+    kEmpty,
+    /// Matches exactly the values in [lo, hi] (the whole domain for a
+    /// wildcard).
+    kSpan,
+    /// Not one interval (a ternary mask with holes): the index keeps
+    /// the entry in every interval and its match op decides.
+    kScattered,
+  };
+  Shape shape = Shape::kSpan;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
+/// Exact value set of `match` on `field` under `kind`: exact is
+/// [v, v]; LPM and prefix-mask ternary are [a, a | ~mask]; range is
+/// [lo, min(hi, FieldMaxValue)]; wildcards span the whole domain.
+FieldInterval IntervalOf(const FieldMatch& match, MatchKind kind, FieldId field);
+
+/// Candidate word of one interval (IntervalIndex::words).
+inline constexpr std::uint32_t kNoCandidate = 0xFFFFFFFFu;
+/// Tag of a word that names its single candidate inline: the low bits
+/// are the entry index.
+inline constexpr std::uint32_t kSingleCandidate = 0x80000000u;
+
+/// A slot's entries cut into elementary intervals of one payload field
+/// (Lampson, Srinivasan & Varghese's range search): every entry whose
+/// pattern can match a value of interval i is a candidate of i, in
+/// winner order, and the list stops at the first candidate that
+/// matches the whole interval.
+struct IntervalIndex {
+  /// Key position of the indexed field.
+  std::size_t key_field = 0;
+  FieldId field = FieldId::kTenantId;
+  /// Interval i holds the values [bounds[i], bounds[i + 1]) (the last
+  /// runs to FieldMaxValue); bounds[0] == 0 and adjacent intervals
+  /// never share a candidate list.
+  std::vector<std::uint32_t> bounds;
+  /// One word per interval: kNoCandidate, kSingleCandidate | entry, or
+  /// the offset in `lists` of a count-prefixed candidate list.
+  std::vector<std::uint32_t> words;
+  std::vector<std::uint32_t> lists;
 };
 
 /// One (stage, table) of one recirculation pass, restricted to the
@@ -100,6 +153,8 @@ struct IrSlot {
   /// Extraction group assigned by the match-fusion pass; slots sharing
   /// a group extract their fields together and match eagerly.
   int fusion_group = -1;
+  /// Set by the interval-index pass (kInterval slots only).
+  IntervalIndex index;
 };
 
 /// One recirculation pass: every pipeline table, in (stage, table)
@@ -154,5 +209,8 @@ std::uint64_t FieldMaxValue(FieldId field);
 /// mask 0, LPM prefix 0, range covering the field's whole domain).
 /// Exact patterns always constrain.
 bool IsWildcardMatch(const FieldMatch& match, MatchKind kind, FieldId field);
+
+/// 32-bit mask of an LPM prefix, mirroring FieldMatches' arithmetic.
+std::uint64_t LpmMask(int prefix_len);
 
 }  // namespace sfp::switchsim::compiler

@@ -19,6 +19,10 @@ struct PassStats {
   int folded_tables = 0;
   /// Non-dead slots that joined a predecessor's extraction group.
   int fused_stages = 0;
+  /// Match slots given an interval index (kInterval).
+  int interval_slots = 0;
+  /// Match slots left on the linear scan (kMatch).
+  int linear_slots = 0;
 };
 
 /// Pass 1 — dead-table elimination: a slot with no lifted entries can
@@ -41,6 +45,25 @@ int ConstantFoldAlwaysMatch(TenantIr& ir);
 /// order). Groups are capped at kMaxFusedSlots. Returns the fused
 /// (joined, non-dead) slot count over real passes.
 int MatchFusion(TenantIr& ir);
+
+/// Pass 4 — interval indexing: gives every kMatch slot of more than two
+/// entries an interval index on one payload field (BuildIntervalIndex),
+/// which makes it kInterval. Slots of two entries or fewer (one rule
+/// and a catch-all) keep the scan, which is cheaper there
+/// (BM_CompiledSlotDispatch and ext2, EXPERIMENTS.md). Returns the
+/// indexed slots over real passes.
+int IntervalIndexing(TenantIr& ir);
+
+/// Builds `slot`'s interval index and makes it kInterval. The indexed
+/// field is the one the most entries constrain to a proper interval
+/// (ties go to the lower FieldId). Each elementary interval of that
+/// field lists the entries that can match one of its values, in winner
+/// order, up to and including the first that matches all of them;
+/// adjacent intervals with the same list merge. Returns false, leaving
+/// the slot untouched, when no entry constrains an indexable field or
+/// when the lists would exceed 4 words per entry (nested or
+/// overlapping patterns that each constrain another field too).
+bool BuildIntervalIndex(IrSlot& slot);
 
 /// Runs all passes in order and returns their combined stats.
 PassStats RunLoweringPasses(TenantIr& ir);

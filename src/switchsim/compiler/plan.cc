@@ -8,12 +8,6 @@ namespace sfp::switchsim::compiler {
 
 namespace {
 
-/// 32-bit prefix mask, mirroring FieldMatches' LPM arithmetic.
-std::uint64_t LpmMask(int prefix_len) {
-  if (prefix_len >= 32) return 0xFFFFFFFFULL;
-  return (0xFFFFFFFFULL << (32 - prefix_len)) & 0xFFFFFFFFULL;
-}
-
 CompiledAction CompileAction(const IrAction& act, CompiledPlan& plan) {
   CompiledAction out;
   bool inline_ok = false;
@@ -62,13 +56,22 @@ void EmitPass(const IrPass& ir_pass, CompiledPlan& plan,
       slot.has_default = true;
       slot.default_action = CompileAction(*ir_slot.default_act, plan);
     }
+    const bool indexed = ir_slot.kind == SlotKind::kInterval;
     for (const IrEntry& entry : ir_slot.entries) {
       const auto begin = static_cast<std::uint32_t>(plan.ops.size());
-      if (ir_slot.kind == SlotKind::kMatch) {
+      if (ir_slot.kind == SlotKind::kMatch || indexed) {
         for (const std::size_t f : ir_slot.payload_fields) {
           const FieldMatch& m = entry.matches[f];
           const MatchKind kind = ir_slot.key[f].kind;
           if (IsWildcardMatch(m, kind, ir_slot.key[f].field)) continue;
+          // The index decides the indexed field for every entry but a
+          // scattered one: a span's candidates match it by
+          // construction, and an empty pattern is nobody's candidate.
+          if (indexed && f == ir_slot.index.key_field &&
+              IntervalOf(m, kind, ir_slot.key[f].field).shape !=
+                  FieldInterval::Shape::kScattered) {
+            continue;
+          }
           CompiledOp op;
           op.field = static_cast<std::uint8_t>(ir_slot.key[f].field);
           op.kind = kind;
@@ -96,6 +99,17 @@ void EmitPass(const IrPass& ir_pass, CompiledPlan& plan,
       slot.op_begin.push_back(begin);
       slot.op_count.push_back(static_cast<std::uint16_t>(plan.ops.size() - begin));
       slot.actions.push_back(CompileAction(entry.act, plan));
+    }
+    if (indexed) {
+      // Pool the pass's index plan-wide, as built.
+      const IntervalIndex& index = ir_slot.index;
+      slot.index_field = static_cast<std::uint8_t>(index.field);
+      slot.interval_begin = static_cast<std::uint32_t>(plan.bounds.size());
+      slot.interval_count = static_cast<std::uint32_t>(index.bounds.size());
+      slot.list_begin = static_cast<std::uint32_t>(plan.candidates.size());
+      plan.bounds.insert(plan.bounds.end(), index.bounds.begin(), index.bounds.end());
+      plan.words.insert(plan.words.end(), index.words.begin(), index.words.end());
+      plan.candidates.insert(plan.candidates.end(), index.lists.begin(), index.lists.end());
     }
     out.slots.push_back(std::move(slot));
   }

@@ -4,8 +4,11 @@
 // data the batch workers execute directly (exec.cc): per slot, the
 // matched rule data is laid out struct-of-arrays — parallel op-span
 // and action vectors in winner order, with the match ops themselves
-// pooled plan-wide and their masks precomputed — so the hot scan
+// pooled plan-wide and their masks precomputed — so the hot loop
 // touches contiguous words instead of chasing TableEntry vectors.
+// A kInterval slot resolves its winner through an interval index
+// (interval bounds, one candidate word per interval, candidate lists;
+// all pooled plan-wide); a kMatch slot scans its entries.
 //
 // A plan snapshots its tenant's stamp (MatchActionTable::TenantEpoch)
 // of every table it was lifted from; Validate() rechecks them, which is
@@ -58,10 +61,21 @@ struct CompiledSlot {
   std::uint16_t stage = 0;
   SlotKind kind = SlotKind::kDead;
   bool has_default = false;
+  /// FieldId whose value selects the interval (read only when the slot
+  /// has more than one interval).
+  std::uint8_t index_field = 0;
   CompiledAction default_action;
+  /// A kInterval slot's intervals in CompiledPlan::bounds and ::words,
+  /// and the start of its candidate lists in ::candidates
+  /// (IntervalIndex has the encoding).
+  std::uint32_t interval_begin = 0;
+  std::uint32_t interval_count = 0;
+  std::uint32_t list_begin = 0;
   /// Struct-of-arrays over the slot's entries in winner order: entry e
   /// matches iff ops [op_begin[e], op_begin[e] + op_count[e]) all hold;
-  /// the first matching entry wins and runs actions[e].
+  /// the first matching candidate wins and runs actions[e]. In a
+  /// kInterval slot an entry's op on the indexed field is left out
+  /// when the interval alone decides it.
   std::vector<std::uint32_t> op_begin;
   std::vector<std::uint16_t> op_count;
   std::vector<CompiledAction> actions;
@@ -92,6 +106,11 @@ struct CompiledPlan {
   CompiledPass tail;
   /// Plan-wide op pool (spans referenced by the slots).
   std::vector<CompiledOp> ops;
+  /// Plan-wide pools of the slots' interval indexes (IntervalIndex's
+  /// bounds, words and lists, copied as the pass built them).
+  std::vector<std::uint32_t> bounds;
+  std::vector<std::uint32_t> words;
+  std::vector<std::uint32_t> candidates;
   struct OpaqueAction {
     ActionFn fn;
     ActionArgs args;

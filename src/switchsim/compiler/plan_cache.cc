@@ -41,6 +41,8 @@ std::shared_ptr<const CompiledPlan> PlanCache::CompileLocked(std::uint16_t tenan
       fused_stages_.fetch_add(plan->stats.fused_stages, std::memory_order_relaxed);
       dead_tables_.fetch_add(plan->stats.dead_tables, std::memory_order_relaxed);
       folded_tables_.fetch_add(plan->stats.folded_tables, std::memory_order_relaxed);
+      interval_slots_.fetch_add(plan->stats.interval_slots, std::memory_order_relaxed);
+      linear_slots_.fetch_add(plan->stats.linear_slots, std::memory_order_relaxed);
       fallback_.erase(tenant);
     } else {
       fallback_.insert(tenant);

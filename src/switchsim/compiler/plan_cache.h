@@ -71,6 +71,8 @@ class PlanCache {
   std::uint64_t FusedStages() const { return fused_stages_.load(std::memory_order_relaxed); }
   std::uint64_t DeadTablesEliminated() const { return dead_tables_.load(std::memory_order_relaxed); }
   std::uint64_t FoldedTables() const { return folded_tables_.load(std::memory_order_relaxed); }
+  std::uint64_t IntervalSlots() const { return interval_slots_.load(std::memory_order_relaxed); }
+  std::uint64_t LinearSlots() const { return linear_slots_.load(std::memory_order_relaxed); }
   /// Batch-served packets that found no valid plan and were interpreted.
   std::uint64_t InterpretedPackets() const {
     return interpreted_packets_.load(std::memory_order_relaxed);
@@ -108,6 +110,8 @@ class PlanCache {
   std::atomic<std::uint64_t> fused_stages_{0};
   std::atomic<std::uint64_t> dead_tables_{0};
   std::atomic<std::uint64_t> folded_tables_{0};
+  std::atomic<std::uint64_t> interval_slots_{0};
+  std::atomic<std::uint64_t> linear_slots_{0};
   std::atomic<std::uint64_t> interpreted_packets_{0};
 };
 

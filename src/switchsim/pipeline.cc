@@ -353,6 +353,8 @@ void Pipeline::ExportMetrics(common::metrics::Registry& registry) const {
     registry.GetCounter("compiler.dead_tables_eliminated")
         .Set(plan_cache_->DeadTablesEliminated());
     registry.GetCounter("compiler.folded_tables").Set(plan_cache_->FoldedTables());
+    registry.GetCounter("compiler.slots.linear").Set(plan_cache_->LinearSlots());
+    registry.GetCounter("compiler.slots.interval").Set(plan_cache_->IntervalSlots());
     registry.GetCounter("compiler.interpreted_packets")
         .Set(plan_cache_->InterpretedPackets());
   }

@@ -48,7 +48,8 @@ const std::vector<std::vector<nf::NfType>>& FullLayout() {
 
 /// Random SFC over the *stateless* NF types (firewall, classifier,
 /// router, NAT, load-balancer set_backend rules). Chain order is
-/// shuffled, so some tenants fold over multiple passes.
+/// shuffled, so some tenants fold over multiple passes. Up to 40 rules
+/// per NF, so slots hold interval indexes with multi-candidate lists.
 dataplane::Sfc RandomSfc(dataplane::TenantId tenant, Rng& rng) {
   std::vector<nf::NfType> types = {nf::NfType::kFirewall, nf::NfType::kClassifier,
                                    nf::NfType::kRouter, nf::NfType::kNat,
@@ -65,7 +66,7 @@ dataplane::Sfc RandomSfc(dataplane::TenantId tenant, Rng& rng) {
   for (const auto type : types) {
     nf::NfConfig config;
     config.type = type;
-    config.rules = nf::MakeNf(type)->GenerateRules(rng, rng.UniformInt(1, 6));
+    config.rules = nf::MakeNf(type)->GenerateRules(rng, rng.UniformInt(1, 40));
     sfc.chain.push_back(std::move(config));
   }
   return sfc;

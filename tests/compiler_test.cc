@@ -324,9 +324,12 @@ TEST(EmitPlanTest, LaysOutRulesStructOfArraysWithPrecomputedMasks) {
   }
   // The firewall's allow rule compiled a pre-masked src-ip op: the fw
   // column is ternary, and FieldMatch::Exact carries a full mask, so
-  // emission pre-computes value & mask once at compile time.
+  // emission pre-computes value & mask once at compile time. (Two of
+  // the three entries constrain dst port, so the slot is indexed on
+  // it and the src-ip op is the only one left to verify.)
   const CompiledSlot& fw = pass.slots[0];
-  ASSERT_EQ(fw.kind, SlotKind::kMatch);
+  ASSERT_EQ(fw.kind, SlotKind::kInterval);
+  EXPECT_EQ(fw.index_field, static_cast<std::uint8_t>(FieldId::kDstPort));
   bool found_src_op = false;
   for (std::size_t e = 0; e < fw.op_begin.size(); ++e) {
     for (std::uint16_t o = 0; o < fw.op_count[e]; ++o) {

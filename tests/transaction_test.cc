@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "core/sfp_system.h"
 #include "dataplane/data_plane.h"
+#include "net/packet.h"
 #include "nf/firewall.h"
 #include "nf/router.h"
 #include "switchsim/compiler/plan_cache.h"
@@ -152,6 +153,65 @@ TEST(TransactionTest, FaultedReprovisionKeepsTheOldPlacementAndCharge) {
   EXPECT_EQ(moved.passes, 1);
   EXPECT_EQ(system.data_plane().FindAllocation(1)->passes, 1);
   EXPECT_DOUBLE_EQ(system.Stats().backplane_gbps, tenant.bandwidth_gbps);
+}
+
+// A re-provision whose restore faults too loses the tenant's rules and
+// its ledger booking (kDiverged). Removing the tenant afterwards must
+// still retire its telemetry series: a series left live would never
+// count against the departed-series cap.
+TEST(TransactionTest, RemovingADivergedTenantRetiresItsTelemetry) {
+  switchsim::SwitchConfig config;
+  config.num_stages = 2;
+  core::SfpSystem system(config);
+  ASSERT_EQ(system.ProvisionPhysical({{NfType::kFirewall}, {NfType::kRouter}}), 2);
+  const Sfc tenant = MakeSfc(1, 10.0, {Fw(2), Rt()});
+  ASSERT_TRUE(system.AdmitTenant(tenant).admitted);
+  const std::vector<net::Packet> packets = {net::MakeTcpPacket(
+      1, net::Ipv4Address::Of(10, 0, 0, 1), net::Ipv4Address::Of(10, 0, 0, 2), 1234, 80, 64)};
+  system.ProcessBatch(packets);
+  ASSERT_EQ(system.Telemetry().Tenants(), std::vector<std::uint16_t>{1});
+
+  core::AdmitOptions once;
+  once.max_attempts = 1;
+  once.initial_backoff = std::chrono::microseconds{0};
+  {
+    // Hit 2 of apply_op fails the swap after the old entries came out;
+    // every restore install then fails.
+    ScopedFaultPlan faults({.seed = 1,
+                            .faults = {FaultSpec::Nth("dataplane.apply_op", 2),
+                                       FaultSpec::Always("dataplane.install_rule")}});
+    const auto result = system.ReprovisionTenant(tenant, once);
+    ASSERT_EQ(result.code, core::AdmitCode::kDiverged) << result.reason;
+  }
+  EXPECT_FALSE(system.RemoveTenant(1)) << "the ledger no longer books a diverged tenant";
+  EXPECT_TRUE(system.Telemetry().IsDeparted(1));
+  // Every retained series is a departed one: none is left live.
+  EXPECT_EQ(system.Telemetry().Tenants(), system.Telemetry().DepartedTenants());
+}
+
+// Removing a tenant that already departed leaves its departure where it
+// was: with a cap of two departed series, the third departure evicts
+// the first one, even though it was removed a second time in between.
+TEST(TransactionTest, RemovingADepartedTenantAgainKeepsItsDepartureOrder) {
+  switchsim::SwitchConfig config;
+  config.num_stages = 2;
+  core::SfpSystem system(config);
+  ASSERT_EQ(system.ProvisionPhysical({{NfType::kFirewall}, {NfType::kRouter}}), 2);
+  system.Telemetry().SetRetention(dataplane::TelemetryRetention::kKeepDeparted, 2);
+  std::vector<net::Packet> packets;
+  for (dataplane::TenantId t = 1; t <= 3; ++t) {
+    ASSERT_TRUE(system.AdmitTenant(MakeSfc(t, 10.0, {Fw(2), Rt()})).admitted);
+    packets.push_back(net::MakeTcpPacket(t, net::Ipv4Address::Of(10, 0, 0, 1),
+                                         net::Ipv4Address::Of(10, 0, 0, 2), 1234, 80, 64));
+  }
+  system.ProcessBatch(packets);
+  ASSERT_EQ(system.Telemetry().Tenants(), (std::vector<std::uint16_t>{1, 2, 3}));
+
+  EXPECT_TRUE(system.RemoveTenant(1));
+  EXPECT_TRUE(system.RemoveTenant(2));
+  EXPECT_FALSE(system.RemoveTenant(1));
+  EXPECT_TRUE(system.RemoveTenant(3));
+  EXPECT_EQ(system.Telemetry().DepartedTenants(), (std::vector<std::uint16_t>{2, 3}));
 }
 
 // Every public control op files one wall-clock sample, whatever its
