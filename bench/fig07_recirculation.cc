@@ -50,7 +50,7 @@ double Percentile(std::vector<double>& values, double q) {
 dataplane::DataPlane MakePlane(bool parallel, const std::vector<int>& stages) {
   switchsim::SwitchConfig config;
   config.num_stages = nf::kNumNfTypes;
-  config.nf_parallelism = parallel;
+  config.planner = parallel ? switchsim::Planner::kPacked : switchsim::Planner::kSequential;
   dataplane::DataPlane plane(config);
   for (int t = 0; t < nf::kNumNfTypes; ++t) {
     const auto type = static_cast<nf::NfType>(t);

@@ -42,16 +42,15 @@ constexpr int kNumStages = 8;
 constexpr int kEntriesPerBlock = 320;
 constexpr int kNumTenants = 50;
 
-/// Builds the 8-stage plane. nf_parallelism is always on (the
-/// per-tenant packed planner is the comparison baseline);
-/// `cross_tenant` toggles the co-scheduler.
+/// Builds the 8-stage plane under Planner::kPacked (the comparison
+/// baseline), or Planner::kCoScheduled when `cross_tenant`.
 inline dataplane::DataPlane MakeXtPlane(bool cross_tenant) {
   switchsim::SwitchConfig config;
   config.num_stages = kNumStages;
   config.blocks_per_stage = 1;
   config.entries_per_block = kEntriesPerBlock;
-  config.nf_parallelism = true;
-  config.cross_tenant_packing = cross_tenant;
+  config.planner =
+      cross_tenant ? switchsim::Planner::kCoScheduled : switchsim::Planner::kPacked;
   dataplane::DataPlane plane(config);
   plane.InstallPhysicalNf(0, nf::NfType::kClassifier);
   plane.InstallPhysicalNf(1, nf::NfType::kFirewall);

@@ -243,16 +243,11 @@ PlacementModel BuildPlacementModel(const PlacementInstance& instance,
             }
           }
         }
-        if (vars.empty() && !options.reserve_block_per_physical_nf) continue;
+        if (vars.empty()) continue;
         vars.push_back(pm.blocks[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)]);
         coeffs.push_back(-static_cast<double>(instance.sw.entries_per_block));
         model.AddRow(std::move(vars), std::move(coeffs), lp::Sense::kLe, 0,
                      "mem_" + std::to_string(i) + "_" + std::to_string(s));
-        if (options.reserve_block_per_physical_nf) {
-          model.AddRow({pm.x[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)],
-                        pm.blocks[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)]},
-                       {1.0, -1.0}, lp::Sense::kLe, 0);
-        }
       }
     }
     for (int s = 0; s < S; ++s) {
@@ -425,13 +420,9 @@ std::vector<double> SolutionToValues(const PlacementInstance& instance,
   if (pm.options.memory_model == MemoryModel::kConsolidated) {
     for (int i = 0; i < I; ++i) {
       for (int s = 0; s < S; ++s) {
-        std::int64_t blocks =
+        const std::int64_t blocks =
             CeilDiv(entries[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)],
                     instance.sw.entries_per_block);
-        if (pm.options.reserve_block_per_physical_nf &&
-            solution.physical[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)]) {
-          blocks = std::max<std::int64_t>(blocks, 1);
-        }
         values[static_cast<std::size_t>(
             pm.blocks[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)])] =
             static_cast<double>(blocks);

@@ -41,9 +41,6 @@ struct ModelOptions {
   /// IP, at the cost of a weaker LP relaxation (ablation:
   /// bench/micro_lp).
   bool aggregated_consistency = true;
-  /// Each installed physical NF reserves one block even before rules
-  /// arrive (§V-A's reservation; off reproduces eq. 24 verbatim).
-  bool reserve_block_per_physical_nf = false;
   /// Chains whose current placement must be kept (runtime update,
   /// §V-E): chain index -> 1-based virtual stages per box.
   std::map<int, std::vector<int>> pinned;

@@ -321,7 +321,7 @@ bool SfpSystem::RemoveTenant(dataplane::TenantId tenant) {
   // but not its series. An already departed series keeps its place in
   // the departure order (the departed-series cap evicts the oldest).
   if (known || !telemetry_.IsDeparted(tenant)) telemetry_.MarkDeparted(tenant);
-  if (known && data_plane_.pipeline().config().cross_tenant_packing) CompactAfterDeparture();
+  if (known) CompactAfterDeparture();
   ObserveSince(*remove_latency_ns_, started);
   return known;
 }

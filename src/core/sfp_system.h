@@ -159,8 +159,8 @@ class SfpSystem {
   /// telemetry retention policy to its series. Returns false if the
   /// ledger does not book the tenant (never admitted, already removed,
   /// or lost to a diverged re-provision); the retention policy still
-  /// applies to any live series it left. With SwitchConfig::cross_tenant_packing the
-  /// departure also runs window compaction: remaining multi-pass
+  /// applies to any live series it left. Under Planner::kCoScheduled
+  /// the departure also runs window compaction: remaining multi-pass
   /// tenants whose chains now re-plan into fewer passes (the departed
   /// tenant's windows freed capacity) are moved through the
   /// transaction, biggest saving first, bounded per departure. A
@@ -248,7 +248,7 @@ class SfpSystem {
   /// Departure-time window compaction (control_mutex_ held): moves
   /// DataPlane::PlanCompaction candidates through Transact until no
   /// candidate improves, a move stops paying off, or the per-departure
-  /// move bound is hit. Cross_tenant_packing only.
+  /// move bound is hit. A no-op unless Planner::kCoScheduled.
   void CompactAfterDeparture();
 
   dataplane::DataPlane data_plane_;

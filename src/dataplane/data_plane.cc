@@ -49,6 +49,17 @@ bool InstallEntry(switchsim::MatchActionTable& table, std::vector<FieldMatch> ma
              switchsim::kInvalidEntryHandle;
 }
 
+/// The chain's dependency edges (nf_deps.h): NF j runs after every
+/// earlier NF it does not commute with. Conflicts are tallied into
+/// `rejects` by MergeReject when non-null.
+std::vector<std::vector<std::size_t>> DependencyEdges(
+    const Sfc& sfc, std::vector<std::uint64_t>* rejects = nullptr) {
+  std::vector<NfEffects> effects;
+  effects.reserve(sfc.chain.size());
+  for (const auto& logical : sfc.chain) effects.push_back(SummarizeNf(logical));
+  return BuildPrecedence(effects, rejects);
+}
+
 }  // namespace
 
 DataPlane::DataPlane(switchsim::SwitchConfig config) : pipeline_(config) {}
@@ -146,205 +157,51 @@ switchsim::EntryDeltas DataPlane::OwnEntriesOut(TenantId tenant) const {
   return out;
 }
 
-bool DataPlane::PlanSequential(const Sfc& sfc, int pass_limit,
-                               std::vector<PlanStep>& plan) const {
-  plan.clear();
+bool DataPlane::Schedule(const Sfc& sfc, int pass_limit,
+                         const std::vector<std::vector<std::size_t>>& preds,
+                         const std::vector<bool>& steer, std::vector<PlanStep>& plan) const {
+  plan.assign(sfc.chain.size(), PlanStep{});
   // Prospective entries per table: the tenant's own installed entries
-  // out, plus earlier NFs of this same SFC landing in the stage.
+  // out, plus this plan's earlier NFs landing in the stage.
   switchsim::EntryDeltas pending = OwnEntriesOut(sfc.tenant);
+  std::vector<std::vector<const switchsim::MatchActionTable*>> claimed(
+      static_cast<std::size_t>(std::max(pass_limit, 0)));
+  int max_pass = -1;  // highest pass placed so far (-1: none)
 
-  int pass = 0;
-  int cursor = 0;  // next candidate stage within the current pass
-  for (std::size_t j = 0; j < sfc.chain.size(); ++j) {
+  auto place = [&](std::size_t j, bool steered) {
     const auto& logical = sfc.chain[j];
     // Rules + one catch-all No-Op entry per logical NF.
-    const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
-    const PhysicalNfSlot* chosen = nullptr;
-    while (chosen == nullptr) {
-      for (int k = cursor; k < pipeline_.num_stages(); ++k) {
-        auto* slot = FindSlot(k, logical.type);
-        if (slot == nullptr) continue;
-        if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
-        chosen = slot;
-        cursor = k + 1;
-        break;
-      }
-      if (chosen != nullptr) break;
-      // Fold into the next pass (§IV: "the SFC is folded and gets into
-      // the pipeline in the next pass").
-      ++pass;
-      cursor = 0;
-      if (pass >= pass_limit) return false;
-    }
-    pending[chosen->table] += entries;
-    plan.push_back({chosen, NfPlacement{chosen->stage, pass}});
-  }
-  return true;
-}
-
-bool DataPlane::PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan,
-                           std::vector<std::uint64_t>& rejects) const {
-  const std::size_t n = sfc.chain.size();
-  plan.assign(n, PlanStep{});
-
-  // Precedence edges: a conflicting pair (i before j in the chain)
-  // must also execute in that order on the switch — either pass(i) <
-  // pass(j), or the same pass with stage(i) < stage(j), which is
-  // exactly the §IV same-pass semantics. An independent pair carries
-  // no edge at all: either side may run first, even in an earlier
-  // pass. Runs of mutually independent NFs (MergeRuns) are the
-  // edge-free special case and collapse into one pass here.
-  std::vector<NfEffects> effects;
-  effects.reserve(n);
-  for (const auto& logical : sfc.chain) effects.push_back(SummarizeNf(logical));
-  const auto preds = BuildPrecedence(effects, &rejects);
-
-  // Greedy list scheduling in chain order: each NF takes the earliest
-  // (pass, stage) that (a) hosts its type with table capacity left,
-  // (b) is not already claimed by this chain in that pass (two logical
-  // NFs in one table would merge their (tenant, pass) rule sets), and
-  // (c) executes after every conflicting predecessor.
-  switchsim::EntryDeltas pending = OwnEntriesOut(sfc.tenant);
-  std::vector<std::vector<const switchsim::MatchActionTable*>> claimed(
-      static_cast<std::size_t>(pass_limit));
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto& logical = sfc.chain[j];
-    const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
-    const PhysicalNfSlot* chosen = nullptr;
-    int chosen_pass = 0;
-    for (int p = 0; p < pass_limit && chosen == nullptr; ++p) {
-      // Stage floor within pass p from the precedence edges; a
-      // predecessor scheduled after pass p rules the pass out.
-      int floor = 0;
-      bool feasible = true;
-      for (const std::size_t i : preds[j]) {
-        if (plan[i].placement.pass > p) {
-          feasible = false;
-          break;
-        }
-        if (plan[i].placement.pass == p) {
-          floor = std::max(floor, plan[i].placement.stage + 1);
-        }
-      }
-      if (!feasible) continue;
-      const auto& used = claimed[static_cast<std::size_t>(p)];
-      for (int k = floor; k < pipeline_.num_stages(); ++k) {
-        auto* slot = FindSlot(k, logical.type);
-        if (slot == nullptr) continue;
-        if (std::find(used.begin(), used.end(), slot->table) != used.end()) continue;
-        if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
-        chosen = slot;
-        chosen_pass = p;
-        break;
-      }
-    }
-    if (chosen == nullptr) return false;  // no pass within the budget fits
-    pending[chosen->table] += entries;
-    claimed[static_cast<std::size_t>(chosen_pass)].push_back(chosen->table);
-    plan[j] = PlanStep{chosen, NfPlacement{chosen->stage, chosen_pass}};
-  }
-  return true;
-}
-
-bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
-                                std::vector<PlanStep>& plan) const {
-  const std::size_t n = sfc.chain.size();
-  plan.assign(n, PlanStep{});
-
-  std::vector<NfEffects> effects;
-  effects.reserve(n);
-  for (const auto& logical : sfc.chain) effects.push_back(SummarizeNf(logical));
-  const auto preds = BuildPrecedence(effects);
-  const auto successor_free = SuccessorFree(preds);
-
-  // Planned as if the tenant had already departed (a re-provision or a
-  // compaction probe): its own claims don't count as open windows.
-  switchsim::EntryDeltas pending = OwnEntriesOut(sfc.tenant);
-  auto window_open = [this, &sfc](int pass, int stage) {
-    return xt_ledger_.WindowOpenExcluding(pass, stage, sfc.tenant);
-  };
-
-  std::vector<std::vector<const switchsim::MatchActionTable*>> claimed(
-      static_cast<std::size_t>(pass_limit));
-  int max_pass = -1;  // highest pass index placed so far (-1: none)
-
-  // Stage floor for NF j within pass p under the already-placed
-  // precedence edges; false when a predecessor lands after pass p.
-  auto pass_floor = [&](std::size_t j, int p, int& floor) {
-    floor = 0;
-    for (const std::size_t i : preds[j]) {
-      if (plan[i].placement.pass > p) return false;
-      if (plan[i].placement.pass == p) {
-        floor = std::max(floor, plan[i].placement.stage + 1);
-      }
-    }
-    return true;
-  };
-
-  auto commit = [&](std::size_t j, const PhysicalNfSlot* slot, int p,
-                    std::int64_t entries) {
-    pending[slot->table] += entries;
-    claimed[static_cast<std::size_t>(p)].push_back(slot->table);
-    plan[j] = PlanStep{slot, NfPlacement{slot->stage, p}};
-    max_pass = std::max(max_pass, p);
-  };
-
-  // Phase 1: NFs some later NF depends on take the earliest feasible
-  // (pass, stage), exactly like PlanPacked. Every predecessor of any
-  // NF carries a successor by definition, so this prefix is closed
-  // under the precedence relation: phase-2 NFs find all their
-  // predecessors already placed.
-  for (std::size_t j = 0; j < n; ++j) {
-    if (successor_free[j]) continue;
-    const auto& logical = sfc.chain[j];
-    const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
-    const PhysicalNfSlot* chosen = nullptr;
-    for (int p = 0; p < pass_limit && chosen == nullptr; ++p) {
-      int floor = 0;
-      if (!pass_floor(j, p, floor)) continue;
-      const auto& used = claimed[static_cast<std::size_t>(p)];
-      for (int k = floor; k < pipeline_.num_stages(); ++k) {
-        auto* slot = FindSlot(k, logical.type);
-        if (slot == nullptr) continue;
-        if (std::find(used.begin(), used.end(), slot->table) != used.end()) continue;
-        if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
-        chosen = slot;
-        commit(j, slot, p, entries);
-        break;
-      }
-    }
-    if (chosen == nullptr) return false;
-  }
-
-  // Phase 2: successor-free NFs — nothing downstream constrains where
-  // they run, so pick the feasible slot minimizing (extra passes over
-  // the plan so far, latest stage, window not already open for another
-  // tenant, pass index). Preferring *late* stages keeps scarce
-  // early-stage table capacity for order-constrained chains — the
-  // lever behind the aggregate pass savings — and among equal stages
-  // the open-window bit lines this tenant's claims up with windows the
-  // population already holds, so departures compact instead of
-  // fragmenting. Extra passes dominate the score, so the per-tenant
-  // plan never grows a pass just to steer late or join a window.
-  for (std::size_t j = 0; j < n; ++j) {
-    if (!successor_free[j]) continue;
-    const auto& logical = sfc.chain[j];
     const std::int64_t entries = static_cast<std::int64_t>(logical.rules.size()) + 1;
     const PhysicalNfSlot* best = nullptr;
     int best_pass = 0;
     std::tuple<int, int, int, int> best_score{};
-    for (int p = 0; p < pass_limit; ++p) {
+    for (int p = 0; p < pass_limit && (steered || best == nullptr); ++p) {
+      // Stage floor within pass p; a predecessor in a later pass rules
+      // p out.
       int floor = 0;
-      if (!pass_floor(j, p, floor)) continue;
+      bool after_preds = true;
+      for (const std::size_t i : preds[j]) {
+        after_preds = after_preds && plan[i].placement.pass <= p;
+        if (plan[i].placement.pass == p) floor = std::max(floor, plan[i].placement.stage + 1);
+      }
+      if (!after_preds) continue;
       const auto& used = claimed[static_cast<std::size_t>(p)];
       for (int k = floor; k < pipeline_.num_stages(); ++k) {
-        auto* slot = FindSlot(k, logical.type);
+        const PhysicalNfSlot* slot = FindSlot(k, logical.type);
         if (slot == nullptr) continue;
         if (std::find(used.begin(), used.end(), slot->table) != used.end()) continue;
         if (!pipeline_.stage(k).CanAddEntries(*slot->table, entries, pending)) continue;
-        const int extra = p > max_pass ? p - max_pass : 0;
+        if (!steered) {
+          best = slot;
+          best_pass = p;
+          break;
+        }
+        // Extra passes dominate, so steering never grows the plan by a
+        // pass. Planned as if the tenant had departed (a re-provision
+        // or a compaction probe): its own claims don't count as open.
         const std::tuple<int, int, int, int> score{
-            extra, -k, window_open(p, k) ? 0 : 1, p};
+            std::max(p - max_pass, 0), -k,
+            xt_ledger_.WindowOpenExcluding(p, k, sfc.tenant) ? 0 : 1, p};
         if (best == nullptr || score < best_score) {
           best = slot;
           best_pass = p;
@@ -353,7 +210,18 @@ bool DataPlane::PlanCoScheduled(const Sfc& sfc, int pass_limit,
       }
     }
     if (best == nullptr) return false;
-    commit(j, best, best_pass, entries);
+    pending[best->table] += entries;
+    claimed[static_cast<std::size_t>(best_pass)].push_back(best->table);
+    plan[j] = PlanStep{best, NfPlacement{best->stage, best_pass}};
+    max_pass = std::max(max_pass, best_pass);
+    return true;
+  };
+
+  for (const bool steered : {false, true}) {
+    for (std::size_t j = 0; j < plan.size(); ++j) {
+      const bool in_steer = !steer.empty() && steer[j];
+      if (in_steer == steered && !place(j, steered)) return false;
+    }
   }
   return true;
 }
@@ -407,69 +275,63 @@ AllocationPlan DataPlane::PlanSfc(const Sfc& sfc, std::optional<int> max_passes)
     return plan;
   }
   // Match logical NFs to physical slots; nothing below mutates a table.
+  // The §IV walk is the reference every other planner must beat.
+  std::vector<std::vector<std::size_t>> chain_order(sfc.chain.size());
+  for (std::size_t j = 1; j < chain_order.size(); ++j) chain_order[j] = {j - 1};
   std::vector<PlanStep> steps;
-  std::vector<PlanStep> sequential;
-  const bool sequential_ok = PlanSequential(sfc, pass_limit, sequential);
-  const int sequential_passes = sequential_ok ? AssignRecMarks(sequential) : 0;
+  const bool sequential_ok = Schedule(sfc, pass_limit, chain_order, {}, steps);
+  const int sequential_passes = sequential_ok ? AssignRecMarks(steps) : 0;
+  bool placed = sequential_ok;
+  int total_passes = sequential_passes;
 
   PassPackingStats& stats = plan.packing;
-  const bool xt = pipeline_.config().cross_tenant_packing;
-  // Cross-tenant co-scheduling implies dependency-aware planning: the
-  // packed per-tenant plan is the reference the co-scheduled plan must
-  // never be worse than.
-  const bool dependency_aware = pipeline_.config().nf_parallelism || xt;
-  bool use_packed = false;
-  bool use_xt = false;
-  int total_passes = sequential_passes;
-  if (dependency_aware) {
+  const switchsim::Planner planner = pipeline_.config().planner;
+  if (planner != switchsim::Planner::kSequential) {
+    // Dependency edges instead of chain order (DESIGN.md "Intra-chain
+    // NF parallelism"): a conflicting pair keeps its chain order, an
+    // independent pair may run either way round, even a pass apart.
     std::vector<std::uint64_t> rejects(3, 0);
-    std::vector<PlanStep> packed;
-    const bool packed_ok = PlanPacked(sfc, pass_limit, packed, rejects);
-    const int packed_passes = packed_ok ? AssignRecMarks(packed) : 0;
+    const auto preds = DependencyEdges(sfc, &rejects);
     stats.reject_field_conflict =
         rejects[static_cast<std::size_t>(MergeReject::kFieldConflict)];
     stats.reject_drop_gate = rejects[static_cast<std::size_t>(MergeReject::kDropGate)];
-    // Never-worse fallback: keep the sequential reference layout when
-    // greedy packing needs at least as many passes (or failed).
-    use_packed = packed_ok && (!sequential_ok || packed_passes < sequential_passes);
-    if (sequential_ok && packed_ok && packed_passes >= sequential_passes) {
-      stats.fallback_sequential = 1;
+    std::vector<PlanStep> packed;
+    if (Schedule(sfc, pass_limit, preds, {}, packed)) {
+      const int packed_passes = AssignRecMarks(packed);
+      // Never-worse fallback: keep the sequential layout when greedy
+      // packing needs at least as many passes.
+      if (!placed || packed_passes < total_passes) {
+        steps = std::move(packed);
+        total_passes = packed_passes;
+        placed = true;
+      } else {
+        stats.fallback_sequential = 1;
+      }
     }
-    if (use_packed) {
-      steps = std::move(packed);
-      total_passes = packed_passes;
+    if (planner == switchsim::Planner::kCoScheduled) {
+      // Co-schedule against the fabric-wide stage-window ledger, taken
+      // only when it needs no more passes than the reference just
+      // chosen (it may also place a chain the others could not).
+      std::vector<PlanStep> co;
+      const bool co_ok = Schedule(sfc, pass_limit, preds, SuccessorFree(preds), co);
+      const int co_passes = co_ok ? AssignRecMarks(co) : 0;
+      if (co_ok && (!placed || co_passes <= total_passes)) {
+        steps = std::move(co);
+        total_passes = co_passes;
+        placed = true;
+        stats.xt_allocations = 1;
+      } else if (placed) {
+        stats.xt_fallback = 1;
+      }
     }
   }
-  if (xt) {
-    // Co-schedule against the fabric-wide stage-window ledger. The
-    // per-tenant never-worse guard compares against the reference the
-    // packed-vs-sequential selection just made: the co-scheduled plan
-    // is taken only when it needs no more passes (it may also succeed
-    // where the per-tenant planners failed, extending admissibility).
-    std::vector<PlanStep> co;
-    const bool co_ok = PlanCoScheduled(sfc, pass_limit, co);
-    const int co_passes = co_ok ? AssignRecMarks(co) : 0;
-    const bool have_reference = use_packed || sequential_ok;
-    const int reference_passes = use_packed ? total_passes : sequential_passes;
-    use_xt = co_ok && (!have_reference || co_passes <= reference_passes);
-    if (use_xt) {
-      steps = std::move(co);
-      total_passes = co_passes;
-    } else if (have_reference) {
-      stats.xt_fallback = 1;
-    }
-  }
-  if (!use_packed && !use_xt) {
-    if (!sequential_ok) {
-      result.code = AllocCode::kNoPlacement;
-      result.error = "cannot place the chain within the recirculation budget";
-      return plan;
-    }
-    steps = std::move(sequential);
+  if (!placed) {
+    result.code = AllocCode::kNoPlacement;
+    result.error = "cannot place the chain within the recirculation budget";
+    return plan;
   }
   stats.sequential = static_cast<std::uint64_t>(sequential_passes);
   stats.packed = static_cast<std::uint64_t>(total_passes);
-  stats.xt_allocations = use_xt ? 1 : 0;
 
   result.ok = true;
   result.passes = total_passes;
@@ -550,8 +412,7 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
   }
 
   PassPackingStats stats = plan.packing;
-  const bool xt = pipeline_.config().cross_tenant_packing;
-  if (xt) {
+  if (co_scheduled()) {
     // Book the installed placements in the shared ledger (one claim
     // per logical NF) — also for non-co-scheduled installs, so the
     // ledger mirrors the pipeline's whole occupancy and later tenants
@@ -568,7 +429,7 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
     stats.xt_windows_joined = joined;
     retained_[sfc.tenant] = sfc;
   }
-  if (pipeline_.config().nf_parallelism || xt) RecordPassPacking(stats);
+  if (pipeline_.config().planner != switchsim::Planner::kSequential) RecordPassPacking(stats);
   allocations_[sfc.tenant] = std::move(allocation);
   // The tenant's rules just changed under any previously compiled plan
   // (re-admission after departure); the per-packet epoch check would
@@ -588,7 +449,7 @@ std::size_t DataPlane::DeallocateSfc(TenantId tenant) {
   // concurrently throughout.
   for (auto& slot : slots_) removed += slot.table->RemoveTenantEntries(tenant);
   allocations_.erase(tenant);
-  // No-ops unless cross_tenant_packing booked the tenant at admit.
+  // No-ops unless co-scheduling booked the tenant at admit.
   xt_ledger_.Release(tenant);
   retained_.erase(tenant);
   InvalidatePlan(tenant);
@@ -597,15 +458,16 @@ std::size_t DataPlane::DeallocateSfc(TenantId tenant) {
 
 std::vector<DataPlane::CompactionCandidate> DataPlane::PlanCompaction() const {
   std::vector<CompactionCandidate> candidates;
-  if (!pipeline_.config().cross_tenant_packing) return candidates;
+  if (!co_scheduled()) return candidates;
   const int pass_limit = pipeline_.config().max_passes;
   for (const auto& [tenant, allocation] : allocations_) {
     const int passes = allocation.result.passes;
     if (passes <= 1) continue;  // already optimal
     const auto it = retained_.find(tenant);
     if (it == retained_.end()) continue;
+    const auto preds = DependencyEdges(it->second);
     std::vector<PlanStep> probe;
-    if (!PlanCoScheduled(it->second, pass_limit, probe)) continue;
+    if (!Schedule(it->second, pass_limit, preds, SuccessorFree(preds), probe)) continue;
     const int replanned = AssignRecMarks(probe);
     if (replanned < passes) candidates.push_back({tenant, passes, replanned});
   }
@@ -621,7 +483,7 @@ std::vector<DataPlane::CompactionCandidate> DataPlane::PlanCompaction() const {
 
 std::vector<std::string> DataPlane::AuditXtLedger() const {
   std::vector<std::string> issues;
-  if (!pipeline_.config().cross_tenant_packing) return issues;
+  if (!co_scheduled()) return issues;
   for (const auto& [tenant, allocation] : allocations_) {
     if (!xt_ledger_.HasTenant(tenant)) {
       issues.push_back("tenant " + std::to_string(tenant) +
@@ -701,7 +563,7 @@ AllocationResult DataPlane::SwapSfc(TenantId tenant, const Sfc* sfc,
 
   // Step 1: take the old entries out, keeping everything that puts
   // them back exactly: the entries themselves, the allocation record,
-  // and (cross_tenant_packing) the window claims and retained SFC.
+  // and (co-scheduling) the window claims and retained SFC.
   if (SFP_FAULT("dataplane.apply_op")) return injected("taking the old entries out");
   Allocation old = std::move(it->second);
   std::vector<std::pair<switchsim::MatchActionTable*, switchsim::TableEntry>> old_entries;
@@ -797,8 +659,8 @@ void DataPlane::ExportMetrics(common::metrics::Registry& registry) const {
       .Set(stats.reject_field_conflict);
   registry.GetCounter("pipeline.passes.merge_rejects.drop_gate").Set(stats.reject_drop_gate);
   registry.GetCounter("pipeline.passes.fallback_sequential").Set(stats.fallback_sequential);
-  if (pipeline_.config().cross_tenant_packing) {
-    // Conditional like compiler.*: only cross-tenant runs carry the
+  if (co_scheduled()) {
+    // Conditional like compiler.*: only co-scheduled runs carry the
     // parallelism.xt.* family, so per-tenant baselines stay unchanged.
     registry.GetCounter("parallelism.xt.allocations").Set(stats.xt_allocations);
     registry.GetCounter("parallelism.xt.windows_opened").Set(stats.xt_windows_opened);

@@ -10,9 +10,12 @@
 // passes (the §IV algorithm): starting at stage 0 of pass 0, each
 // logical NF is matched to the nearest later physical NF of its type
 // with spare memory; when the pipeline end is reached the chain is
-// "folded" into the next pass. Rules are copied with the
-// (tenant, pass) prefix; the rules of the last NF of every non-final
-// pass use the REC action variant so the packet recirculates.
+// "folded" into the next pass. That walk is one list scheduler
+// (DataPlane::Schedule) run on chain-order precedence edges; the other
+// SwitchConfig::planner modes run it on dependency edges. Rules are
+// copied with the (tenant, pass) prefix; the rules of the last NF of
+// every non-final pass use the REC action variant so the packet
+// recirculates.
 // Additionally a lowest-priority per-(tenant, pass) catch-all No-Op
 // rule is installed on that last NF so tenant traffic that misses every
 // configured rule still recirculates and completes its chain.
@@ -74,8 +77,8 @@ struct AllocationResult {
   std::vector<NfPlacement> placements;
   /// Total passes the tenant's traffic makes (R_l + 1).
   int passes = 0;
-  /// Passes the chain-order reference plan needs (== passes unless
-  /// SwitchConfig::nf_parallelism packed independent NFs together; 0
+  /// Passes the chain-order reference plan needs (== passes unless a
+  /// packing SwitchConfig::planner put independent NFs together; 0
   /// when even the sequential plan is infeasible within the pass
   /// budget but packing found a layout).
   int sequential_passes = 0;
@@ -88,8 +91,7 @@ struct AllocationResult {
 /// The allocator's pass-packing tallies: one allocation's, or the
 /// running totals of every installed one (exported as
 /// pipeline.passes.* and parallelism.xt.*; see docs/METRICS.md). All
-/// zero unless SwitchConfig::nf_parallelism or cross_tenant_packing
-/// allocations happened.
+/// zero under the default Planner::kSequential.
 struct PassPackingStats {
   /// Passes the chain-order reference plan would have used.
   std::uint64_t sequential = 0;
@@ -103,7 +105,7 @@ struct PassPackingStats {
   /// never-worse fallback: greedy packing needed more passes).
   std::uint64_t fallback_sequential = 0;
   /// Cross-tenant co-scheduling tallies (parallelism.xt.*; all zero
-  /// unless SwitchConfig::cross_tenant_packing).
+  /// unless Planner::kCoScheduled).
   /// Allocations that installed the co-scheduled plan.
   std::uint64_t xt_allocations = 0;
   /// Placements that opened a new (pass, stage) window.
@@ -232,14 +234,12 @@ class DataPlane {
   const switchsim::Pipeline& pipeline() const { return pipeline_; }
 
   /// The fabric-wide stage-window occupancy ledger, or nullptr unless
-  /// SwitchConfig::cross_tenant_packing (DESIGN.md "Cross-tenant pass
-  /// sharing"). Read-only; valid until the next (de)allocation.
-  const StageWindowLedger* xt_ledger() const {
-    return pipeline_.config().cross_tenant_packing ? &xt_ledger_ : nullptr;
-  }
+  /// Planner::kCoScheduled (DESIGN.md "Cross-tenant pass sharing").
+  /// Read-only; valid until the next (de)allocation.
+  const StageWindowLedger* xt_ledger() const { return co_scheduled() ? &xt_ledger_ : nullptr; }
 
   /// The SFC a tenant was admitted with (retained for departure-time
-  /// window compaction; cross_tenant_packing only). nullptr when
+  /// window compaction; Planner::kCoScheduled only). nullptr when
   /// unknown.
   const Sfc* RetainedSfc(TenantId tenant) const {
     const auto it = retained_.find(tenant);
@@ -258,15 +258,14 @@ class DataPlane {
   /// win (pure — nothing is moved). Candidates are sorted biggest
   /// pass saving first, ties by tenant id, so SfpSystem::RemoveTenant
   /// moves them deterministically through its control-plane
-  /// transaction. Empty unless cross_tenant_packing.
+  /// transaction. Empty unless Planner::kCoScheduled.
   std::vector<CompactionCandidate> PlanCompaction() const;
 
   /// Ledger conservation check (empty == consistent, entries describe
   /// violations): ledger tenants == allocated tenants, per-tenant
   /// ledger entries == Σ (rules + 1) over the retained chain, window
   /// occupancy == Σ claims, and the ledger total == the pipeline's
-  /// installed entry count. Always empty when cross_tenant_packing is
-  /// off.
+  /// installed entry count. Always empty unless Planner::kCoScheduled.
   std::vector<std::string> AuditXtLedger() const;
 
   /// All physical NF types installed per stage (for inspection/P4 gen).
@@ -284,7 +283,7 @@ class DataPlane {
 
   /// The pipeline's counters (switchsim::Pipeline::ExportMetrics) plus
   /// the allocator's tallies: pipeline.passes.*, and parallelism.xt.*
-  /// while cross_tenant_packing is on (docs/METRICS.md).
+  /// under Planner::kCoScheduled (docs/METRICS.md).
   void ExportMetrics(common::metrics::Registry& registry) const;
 
  private:
@@ -319,29 +318,29 @@ class DataPlane {
     NfPlacement placement;
   };
 
-  /// Chain-order §IV planner: each NF lands at the nearest later stage
-  /// of its type with spare memory; the chain folds into the next pass
-  /// at the pipeline end. Pure (no installs). Returns false when the
-  /// chain cannot be placed within `pass_limit` (plan is then invalid).
-  bool PlanSequential(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan) const;
+  bool co_scheduled() const {
+    return pipeline_.config().planner == switchsim::Planner::kCoScheduled;
+  }
 
-  /// Dependency-aware planner (DESIGN.md "Intra-chain NF parallelism"):
-  /// partitions the chain into maximal runs of mutually independent
-  /// NFs (nf_deps.h) and places each run inside one pass, so
-  /// out-of-order but commuting NFs stop forcing recirculations.
-  /// `rejects` tallies failed merges by MergeReject. Pure.
-  bool PlanPacked(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan,
-                  std::vector<std::uint64_t>& rejects) const;
-
-  /// Cross-tenant co-scheduler (DESIGN.md "Cross-tenant pass
-  /// sharing"): schedules successor-carrying NFs exactly like
-  /// PlanPacked (earliest feasible (pass, stage)), then steers
-  /// successor-free NFs to the best-scoring slot — fewest extra
-  /// passes, then the latest stage, then windows other tenants
-  /// already hold open — so early-stage capacity stays free for
-  /// order-constrained chains and claims line up in shared windows.
-  /// The tenant's own window claims never count as open. Pure.
-  bool PlanCoScheduled(const Sfc& sfc, int pass_limit, std::vector<PlanStep>& plan) const;
+  /// The one list scheduler behind every planner. Pure (no installs).
+  /// A slot (pass p, stage k) is feasible for NF j when the stage hosts
+  /// j's type, the chain has not claimed that table in pass p (two
+  /// logical NFs in one table would merge their (tenant, pass) rule
+  /// sets), the stage memory takes j's rules with the tenant's own
+  /// entries out and this plan's earlier ones in, and every
+  /// predecessor in `preds[j]` runs before it (an earlier pass, or an
+  /// earlier stage of pass p). Each NF not in `steer` takes, in chain
+  /// order, the earliest feasible slot. Each NF in `steer` then takes
+  /// the feasible slot with the lowest (passes added to the plan so
+  /// far, -stage, window not already open for another tenant, pass):
+  /// late stages keep early-stage capacity for order-constrained
+  /// chains, and open windows line claims up across tenants. `steer`
+  /// (empty: none) must be successor-free, so every NF finds its
+  /// predecessors placed. preds[j] = {j - 1} is the paper's §IV walk.
+  /// Returns false when some NF fits no slot within `pass_limit`.
+  bool Schedule(const Sfc& sfc, int pass_limit,
+                const std::vector<std::vector<std::size_t>>& preds,
+                const std::vector<bool>& steer, std::vector<PlanStep>& plan) const;
 
   /// Marks the execution-order-last step of every non-final pass with
   /// the REC flag (stage order, then table order within the stage —
@@ -360,10 +359,10 @@ class DataPlane {
   /// tenant -> its allocation and per-table entries.
   std::map<TenantId, Allocation> allocations_;
   /// Shared (pass, stage) occupancy across tenants; only populated
-  /// while cross_tenant_packing is on.
+  /// under Planner::kCoScheduled.
   StageWindowLedger xt_ledger_;
   /// Admitted SFCs kept for departure-time compaction re-plans
-  /// (cross_tenant_packing only).
+  /// (Planner::kCoScheduled only).
   std::map<TenantId, Sfc> retained_;
   /// Running PassPackingStats totals and compaction tallies (relaxed
   /// atomics, so ExportMetrics may run beside the control plane).

@@ -76,38 +76,4 @@ std::vector<bool> SuccessorFree(const std::vector<std::vector<std::size_t>>& pre
   return free;
 }
 
-std::vector<int> MergeRuns(const std::vector<nf::NfConfig>& chain,
-                           std::vector<std::uint64_t>* rejects) {
-  std::vector<int> run_of(chain.size(), 0);
-  if (chain.empty()) return run_of;
-
-  std::vector<NfEffects> effects;
-  effects.reserve(chain.size());
-  for (const auto& config : chain) effects.push_back(SummarizeNf(config));
-
-  int run = 0;
-  std::size_t run_begin = 0;
-  for (std::size_t j = 1; j < chain.size(); ++j) {
-    MergeReject first_reject = MergeReject::kNone;
-    bool joins = true;
-    for (std::size_t m = run_begin; m < j; ++m) {
-      MergeReject why = MergeReject::kNone;
-      if (!Independent(effects[m], effects[j], &why)) {
-        joins = false;
-        if (first_reject == MergeReject::kNone) first_reject = why;
-        break;
-      }
-    }
-    if (!joins) {
-      if (rejects != nullptr) {
-        ++(*rejects)[static_cast<std::size_t>(first_reject)];
-      }
-      ++run;
-      run_begin = j;
-    }
-    run_of[j] = run;
-  }
-  return run_of;
-}
-
 }  // namespace sfp::dataplane

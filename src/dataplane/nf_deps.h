@@ -20,9 +20,9 @@
 // (egress port, scratch, TTL) that no key can match but ProcessResult
 // exposes. DataPlane::PlanSfc turns every *dependent* pair into a
 // directed ordering edge (keep chain order across passes, or by stage
-// within one pass) and list-schedules the chain under those edges;
-// runs of mutually independent NFs (MergeRuns) are the edge-free
-// special case and collapse into a single pass (see data_plane.cc).
+// within one pass) and list-schedules the chain under those edges
+// (DataPlane::Schedule); a run of mutually independent NFs carries no
+// edge and can collapse into a single pass.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +43,14 @@ struct NfEffects {
   bool stateful = false;
 };
 
-/// Why a candidate NF could not join the run under construction.
+/// Why two NFs do not commute: the first violated clause of the
+/// relation above.
 enum class MergeReject : std::uint8_t {
   kNone = 0,
   /// A field-level conflict (read-after-write, write-after-read, or
-  /// write-after-write) with a run member.
+  /// write-after-write).
   kFieldConflict,
-  /// A drop decision would gate a stateful member (or vice versa).
+  /// One NF's drop decision would gate the other's state.
   kDropGate,
 };
 
@@ -77,15 +78,5 @@ std::vector<std::vector<std::size_t>> BuildPrecedence(
 /// cross-tenant co-scheduler may steer to late stage windows — nothing
 /// downstream constrains where they run.
 std::vector<bool> SuccessorFree(const std::vector<std::vector<std::size_t>>& preds);
-
-/// Partitions `chain` into maximal runs of mutually independent NFs:
-/// returns one entry per chain element giving its run index (runs are
-/// contiguous, numbered 0, 1, ... in chain order). A candidate joins
-/// the current run only if independent of *every* member. Each failed
-/// join is tallied into `rejects` by reason (field conflicts before
-/// drop gates when both apply — Independent reports the first clause).
-/// `rejects` must have at least 3 elements (indexable by MergeReject).
-std::vector<int> MergeRuns(const std::vector<nf::NfConfig>& chain,
-                           std::vector<std::uint64_t>* rejects = nullptr);
 
 }  // namespace sfp::dataplane

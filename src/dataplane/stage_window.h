@@ -9,11 +9,11 @@
 // many rule entries — and aggregates the claims into per-window
 // occupancy shared across tenants.
 //
-// The allocator consults the ledger when cross_tenant_packing is on:
-// the co-scheduled planner prefers placements whose window is already
-// open, so pass boundaries line up across the tenant population and
-// scarce early-stage table capacity stays available for
-// order-constrained chains. Departure-time compaction re-plans
+// The allocator consults the ledger under Planner::kCoScheduled: the
+// scheduler steers successor-free NFs to placements whose window is
+// already open, so pass boundaries line up across the tenant
+// population and scarce early-stage table capacity stays available
+// for order-constrained chains. Departure-time compaction re-plans
 // retained SFCs with their own claims discounted (WindowOpenExcluding).
 //
 // Invariants (AuditXtLedger in data_plane.h checks them):

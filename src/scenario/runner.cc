@@ -296,8 +296,8 @@ ScenarioResult ScenarioRunner::Run() {
     // legally re-provisioned survivors into fewer passes; re-track
     // them so the recovery loop's passes-collapse signature doesn't
     // mistake the improvement for damage.
-    if (departed_this_tick &&
-        system_->data_plane().pipeline().config().cross_tenant_packing) {
+    const auto planner = system_->data_plane().pipeline().config().planner;
+    if (departed_this_tick && planner == switchsim::Planner::kCoScheduled) {
       for (auto& tenant : active_) {
         const auto* allocation =
             system_->data_plane().FindAllocation(tenant.sfc.tenant);

@@ -14,9 +14,6 @@ void PlanDeltas::AddDrop(DropReason reason) {
     case DropReason::kNfAction:
       drops_nf += 1;
       break;
-    case DropReason::kRecirculationGuard:
-      drops_guard += 1;
-      break;
     case DropReason::kRecirculationOverload:
       drops_overload += 1;
       break;
@@ -308,14 +305,7 @@ void Pipeline::ExecuteCompiled(const compiler::CompiledPlan& plan,
       break;
     }
     if (!result.meta.recirculate) break;
-    if (result.passes >= config_.max_passes) {
-      if (config_.drop_on_recirculation_guard) {
-        result.meta.dropped = true;
-        result.meta.drop_reason = DropReason::kRecirculationGuard;
-        deltas.AddDrop(result.meta.drop_reason);
-      }
-      break;
-    }
+    if (result.passes >= config_.max_passes) break;
     const double service_ns =
         config_.recirculation_gbps > 0.0
             ? static_cast<double>(packet.WireBytes()) * 8.0 / config_.recirculation_gbps
@@ -340,7 +330,6 @@ void Pipeline::AddCompiledCounts(const compiler::PlanDeltas& deltas) {
   if (deltas.recirculations != 0) recirculations_.Add(deltas.recirculations);
   if (deltas.drops != 0) drops_.Add(deltas.drops);
   if (deltas.drops_nf != 0) drops_nf_.Add(deltas.drops_nf);
-  if (deltas.drops_guard != 0) drops_guard_.Add(deltas.drops_guard);
   if (deltas.drops_overload != 0) drops_overload_.Add(deltas.drops_overload);
   if (deltas.drops_injected != 0) drops_injected_.Add(deltas.drops_injected);
 }

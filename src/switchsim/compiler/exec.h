@@ -116,7 +116,6 @@ struct PlanDeltas {
   std::uint64_t recirculations = 0;
   std::uint64_t drops = 0;
   std::uint64_t drops_nf = 0;
-  std::uint64_t drops_guard = 0;
   std::uint64_t drops_overload = 0;
   std::uint64_t drops_injected = 0;
 

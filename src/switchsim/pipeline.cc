@@ -118,9 +118,6 @@ void Pipeline::RecordDrop(DropReason reason) {
     case DropReason::kNfAction:
       drops_nf_.Add(1);
       break;
-    case DropReason::kRecirculationGuard:
-      drops_guard_.Add(1);
-      break;
     case DropReason::kRecirculationOverload:
       drops_overload_.Add(1);
       break;
@@ -136,8 +133,6 @@ std::uint64_t Pipeline::packets_dropped_by(DropReason reason) const {
       return 0;
     case DropReason::kNfAction:
       return drops_nf_.Value();
-    case DropReason::kRecirculationGuard:
-      return drops_guard_.Value();
     case DropReason::kRecirculationOverload:
       return drops_overload_.Value();
     case DropReason::kInjectedFault:
@@ -216,17 +211,9 @@ void Pipeline::ProcessOne(const net::Packet& packet, ProcessResult& result,
       break;
     }
     if (!result.meta.recirculate) break;
-    if (result.passes >= config_.max_passes) {
-      // A packet still asking to recirculate at the pass limit cannot
-      // complete its chain; optionally fail stop instead of forwarding
-      // a half-processed packet.
-      if (config_.drop_on_recirculation_guard) {
-        result.meta.dropped = true;
-        result.meta.drop_reason = DropReason::kRecirculationGuard;
-        RecordDrop(result.meta.drop_reason);
-      }
-      break;
-    }
+    // A packet still asking to recirculate at the pass limit exits
+    // with a truncated chain.
+    if (result.passes >= config_.max_passes) break;
     // Recirculated traffic competes for the finite recirculation port.
     const double service_ns =
         config_.recirculation_gbps > 0.0
@@ -339,7 +326,6 @@ void Pipeline::ExportMetrics(common::metrics::Registry& registry) const {
   registry.GetCounter("pipeline.packets").Set(packets_.Value());
   registry.GetCounter("pipeline.drops").Set(drops_.Value());
   registry.GetCounter("pipeline.drops.nf_action").Set(drops_nf_.Value());
-  registry.GetCounter("pipeline.drops.recirculation_guard").Set(drops_guard_.Value());
   registry.GetCounter("pipeline.drops.recirculation_overload").Set(drops_overload_.Value());
   registry.GetCounter("pipeline.drops.injected_fault").Set(drops_injected_.Value());
   registry.GetCounter("pipeline.recirculations").Set(recirculations_.Value());

@@ -30,6 +30,28 @@ class PlanCache;
 struct PlanDeltas;
 }  // namespace compiler
 
+/// The allocator DataPlane::PlanSfc runs. All three are one list
+/// scheduler (DataPlane::Schedule) under different precedence edges;
+/// every mode's forwarding and telemetry are equivalent to kSequential's
+/// (pass counts and latency excluded — reducing them is the point).
+enum class Planner : std::uint8_t {
+  /// The paper's §IV walk: each NF lands after its chain predecessor.
+  kSequential = 0,
+  /// Intra-chain NF parallelism (DESIGN.md): NFs that commute
+  /// (nf_deps.h) may share a recirculation pass out of chain order. The
+  /// packed plan is kept only when it needs fewer passes than the
+  /// sequential one.
+  kPacked,
+  /// kPacked plus cross-tenant pass co-scheduling (DESIGN.md
+  /// "Cross-tenant pass sharing"): NFs without chain successors are
+  /// steered into late, already-open (pass, stage) windows of a
+  /// fabric-wide ledger, and tenant departures trigger window
+  /// compaction through SfpSystem's control-plane transaction. Per
+  /// tenant the co-scheduled plan is never worse than kPacked's
+  /// (fallback counted in parallelism.xt.fallback).
+  kCoScheduled,
+};
+
 /// Static switch parameters (defaults follow §VI-C's simulated switch:
 /// 8 stages x 20 blocks x 1000 entries, 400 Gbps backplane; the
 /// testbed Tofino of §VI-B instead has 12 stages and 3.2 Tbps).
@@ -38,7 +60,8 @@ struct SwitchConfig {
   int blocks_per_stage = 20;
   int entries_per_block = 1000;
   double backplane_gbps = 400.0;
-  /// Safety bound on recirculation loops.
+  /// Safety bound on recirculation loops: a packet still asking to
+  /// recirculate at the limit exits with a truncated chain.
   int max_passes = 8;
   /// Recirculation-port overload model. When > 0 the recirculation
   /// path is a finite port of this rate: each recirculating packet
@@ -51,31 +74,8 @@ struct SwitchConfig {
   double recirculation_gbps = 0.0;
   /// Maximum tolerated recirculation-port backlog (virtual ns).
   double recirculation_queue_ns = 2000.0;
-  /// Harden the max_passes guard: drop a packet that still requests
-  /// recirculation at the pass limit (reason kRecirculationGuard)
-  /// instead of letting it exit with a truncated chain. Off by default
-  /// to preserve the historical truncation semantics.
-  bool drop_on_recirculation_guard = false;
-  /// Intra-chain NF parallelism (DESIGN.md): when true, the planner
-  /// (DataPlane::PlanSfc) packs maximal runs of mutually independent NFs into shared
-  /// recirculation passes instead of placing strictly in chain order.
-  /// Opt-in; off preserves the sequential §IV layout exactly. Packed
-  /// and sequential layouts are verdict- and telemetry-equivalent
-  /// (pass counts and latency excluded — reducing them is the point).
-  bool nf_parallelism = false;
-  /// Cross-tenant recirculation pass co-scheduling (DESIGN.md
-  /// "Cross-tenant pass sharing"): when true, the planner consults a
-  /// fabric-wide stage-window occupancy ledger and steers NFs without
-  /// chain successors into already-open (pass, stage) windows, keeping
-  /// scarce early-stage capacity for order-constrained chains, and
-  /// tenant departures trigger window compaction through SfpSystem's
-  /// control-plane transaction. Implies dependency-aware planning (the packed
-  /// reference is computed even when nf_parallelism is off). Opt-in;
-  /// off preserves the per-tenant behaviour bit-for-bit. Per tenant the
-  /// co-scheduled plan is never worse than the PR-9 reference
-  /// (fallback counted in parallelism.xt.fallback); forwarding and
-  /// telemetry stay equivalent (pass counts and latency excluded).
-  bool cross_tenant_packing = false;
+  /// Which planner DataPlane::PlanSfc runs (see Planner).
+  Planner planner = Planner::kSequential;
   TimingModel timing;
 };
 
@@ -283,7 +283,6 @@ class Pipeline {
   common::metrics::RelaxedCounter table_mutations_;
   common::metrics::RelaxedCounter drops_;
   common::metrics::RelaxedCounter drops_nf_;
-  common::metrics::RelaxedCounter drops_guard_;
   common::metrics::RelaxedCounter drops_overload_;
   common::metrics::RelaxedCounter drops_injected_;
   common::metrics::RelaxedCounter recirculations_;

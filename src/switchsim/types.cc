@@ -36,8 +36,6 @@ const char* DropReasonName(DropReason reason) {
       return "none";
     case DropReason::kNfAction:
       return "nf-action";
-    case DropReason::kRecirculationGuard:
-      return "recirculation-guard";
     case DropReason::kRecirculationOverload:
       return "recirculation-overload";
     case DropReason::kInjectedFault:

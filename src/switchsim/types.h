@@ -72,9 +72,6 @@ enum class DropReason : std::uint8_t {
   kNone = 0,
   /// An NF action dropped the packet (deny rule, rate limit, ...).
   kNfAction,
-  /// The packet requested recirculation past the max_passes guard and
-  /// SwitchConfig::drop_on_recirculation_guard is set.
-  kRecirculationGuard,
   /// The recirculation-port overload model rejected the pass (offered
   /// recirculation bandwidth above the port's capacity).
   kRecirculationOverload,
@@ -82,7 +79,7 @@ enum class DropReason : std::uint8_t {
   kInjectedFault,
 };
 
-/// Human-readable drop reason ("nf-action", "recirculation-guard", ...).
+/// Human-readable drop reason ("nf-action", "recirculation-overload", ...).
 const char* DropReasonName(DropReason reason);
 
 /// Per-packet metadata carried through the pipeline (the paper's packet

@@ -169,7 +169,7 @@ core::SfpSystem NearBackplaneSystem(double backplane_gbps) {
   switchsim::SwitchConfig config;
   config.num_stages = 12;
   config.backplane_gbps = backplane_gbps;
-  config.nf_parallelism = true;
+  config.planner = switchsim::Planner::kPacked;
   core::SfpSystem system(config);
   const std::vector<nf::NfType> types = {nf::NfType::kFirewall, nf::NfType::kClassifier,
                                          nf::NfType::kRouter, nf::NfType::kNat,

@@ -147,8 +147,8 @@ TEST(DagTest, EmptyDagFlattensToEmptyChain) {
 TEST(DagTest, FlattenedDiamondPacksIndependentArmsIntoOnePass) {
   // Diamond FW -> {LB, TC}: the arms are independent by construction
   // (the DAG said so), and their footprints are disjoint, so with
-  // SwitchConfig::nf_parallelism the flattened chain packs into one
-  // pass even on a stage layout that is out of chain order.
+  // Planner::kPacked the flattened chain packs into one pass even on
+  // a stage layout that is out of chain order.
   SfcDag dag;
   dag.tenant = 6;
   dag.bandwidth_gbps = 5;
@@ -174,7 +174,7 @@ TEST(DagTest, FlattenedDiamondPacksIndependentArmsIntoOnePass) {
 
   switchsim::SwitchConfig config;
   config.num_stages = 3;
-  config.nf_parallelism = true;
+  config.planner = switchsim::Planner::kPacked;
   DataPlane dp(config);
   ASSERT_TRUE(dp.InstallPhysicalNf(0, nf::NfType::kClassifier));
   ASSERT_TRUE(dp.InstallPhysicalNf(1, nf::NfType::kFirewall));

@@ -319,8 +319,7 @@ TEST(DataPlaneTest, PlannersCountEveryPendingEntryInTheStage) {
     config.num_stages = 2;
     config.blocks_per_stage = 3;
     config.entries_per_block = 10;
-    config.nf_parallelism = planner == 1;
-    config.cross_tenant_packing = planner == 2;
+    config.planner = static_cast<switchsim::Planner>(planner);
     DataPlane dp(config);
     ASSERT_TRUE(dp.InstallPhysicalNf(0, NfType::kFirewall));
     ASSERT_TRUE(dp.InstallPhysicalNf(0, NfType::kClassifier));

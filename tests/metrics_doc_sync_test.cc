@@ -127,8 +127,7 @@ void ExportAllFamilies(common::metrics::Registry& registry) {
   switchsim::SwitchConfig config;
   config.num_stages = 8;
   config.backplane_gbps = 100.0;
-  config.nf_parallelism = true;
-  config.cross_tenant_packing = true;
+  config.planner = switchsim::Planner::kCoScheduled;
   core::SfpSystem system(config);
   system.ProvisionPhysical({{nf::NfType::kFirewall},
                             {nf::NfType::kClassifier},

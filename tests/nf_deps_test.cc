@@ -1,7 +1,6 @@
 // Tests for the NF dependency analysis behind pass packing
 // (DESIGN.md "Intra-chain NF parallelism"): per-NF read/write/drop/
-// state summaries, the pairwise independence relation, and the greedy
-// run partitioner.
+// state summaries and the pairwise independence relation.
 #include "dataplane/nf_deps.h"
 
 #include <gtest/gtest.h>
@@ -226,39 +225,6 @@ TEST(NfDepsTest, WriteWriteConflicts) {
   MergeReject why = MergeReject::kNone;
   EXPECT_FALSE(Independent(a, b, &why));
   EXPECT_EQ(why, MergeReject::kFieldConflict);
-}
-
-// ---- MergeRuns ------------------------------------------------------
-
-TEST(NfDepsTest, MergeRunsKeepsIndependentChainWhole) {
-  const std::vector<nf::NfConfig> chain = {TcPort(80, 80), FwPortOnly(), LbConfig()};
-  std::vector<std::uint64_t> rejects(3, 0);
-  EXPECT_EQ(MergeRuns(chain, &rejects), (std::vector<int>{0, 0, 0}));
-  EXPECT_EQ(rejects[static_cast<std::size_t>(MergeReject::kFieldConflict)], 0u);
-  EXPECT_EQ(rejects[static_cast<std::size_t>(MergeReject::kDropGate)], 0u);
-}
-
-TEST(NfDepsTest, MergeRunsSplitsOnFieldConflict) {
-  // NAT conflicts with the src-matching firewall two positions back:
-  // the run boundary is where independence against *any* member fails.
-  const std::vector<nf::NfConfig> chain = {FwSrcMatch(), TcPort(80, 80), NatConfig()};
-  std::vector<std::uint64_t> rejects(3, 0);
-  EXPECT_EQ(MergeRuns(chain, &rejects), (std::vector<int>{0, 0, 1}));
-  EXPECT_EQ(rejects[static_cast<std::size_t>(MergeReject::kFieldConflict)], 1u);
-}
-
-TEST(NfDepsTest, MergeRunsSplitsOnDropGate) {
-  const std::vector<nf::NfConfig> chain = {RlConfig(), FwPortOnly()};
-  std::vector<std::uint64_t> rejects(3, 0);
-  EXPECT_EQ(MergeRuns(chain, &rejects), (std::vector<int>{0, 1}));
-  EXPECT_EQ(rejects[static_cast<std::size_t>(MergeReject::kDropGate)], 1u);
-}
-
-TEST(NfDepsTest, MergeRunsDegenerateInputs) {
-  EXPECT_TRUE(MergeRuns({}).empty());
-  EXPECT_EQ(MergeRuns({FwPortOnly()}), (std::vector<int>{0}));
-  // Rejects pointer is optional.
-  EXPECT_EQ(MergeRuns({FwSrcMatch(), NatConfig()}), (std::vector<int>{0, 1}));
 }
 
 }  // namespace

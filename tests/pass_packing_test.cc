@@ -34,7 +34,7 @@ SwitchConfig Switch(int stages, bool parallel) {
   config.num_stages = stages;
   config.blocks_per_stage = 6;
   config.entries_per_block = 100;
-  config.nf_parallelism = parallel;
+  config.planner = parallel ? switchsim::Planner::kPacked : switchsim::Planner::kSequential;
   return config;
 }
 

@@ -78,8 +78,8 @@ void InstallTwoTenants(DataPlane& dp) {
 
 TEST(RollbackFaultTest, InjectedFaultAtEveryOpIndexRollsBack) {
   // A replacing swap has two steps: take the old entries out, put the
-  // new plan in. "dataplane.apply_op" is checked before each. With
-  // cross_tenant_packing the restore must also put back the tenant's
+  // new plan in. "dataplane.apply_op" is checked before each. Under
+  // Planner::kCoScheduled the restore must also put back the tenant's
   // stage-window claims and retained SFC.
   const Sfc replacement = MakeSfc(1, 443, /*extra_rules=*/2);
   for (const bool xt : {false, true}) {
@@ -87,7 +87,7 @@ TEST(RollbackFaultTest, InjectedFaultAtEveryOpIndexRollsBack) {
       SCOPED_TRACE(std::string(xt ? "cross-tenant, " : "") + "fault before step " +
                    std::to_string(fail_at));
       switchsim::SwitchConfig config = SmallSwitch();
-      config.cross_tenant_packing = xt;
+      if (xt) config.planner = switchsim::Planner::kCoScheduled;
       DataPlane dp(config);
       ASSERT_NO_FATAL_FAILURE(InstallTwoTenants(dp));
       const auto entries_before = dp.pipeline().TotalEntriesUsed();

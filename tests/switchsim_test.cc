@@ -273,8 +273,10 @@ TEST(PipelineTest, RecirculationGuardStopsInfiniteLoop) {
   });
   table->AddEntry({FieldMatch::Exact(80)}, rec);  // always recirculates
 
+  // The packet exits at the pass limit with a truncated chain.
   auto result = pipeline.Process(TestPacket());
   EXPECT_EQ(result.passes, 5);
+  EXPECT_FALSE(result.meta.dropped);
 }
 
 TEST(PipelineTest, ProcessBytesParsesWireFormat) {

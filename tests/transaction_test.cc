@@ -299,8 +299,7 @@ TEST(TransactionTest, PlanningMinusATenantMatchesPlanningAfterItsDeparture) {
     config.blocks_per_stage = 5;
     config.entries_per_block = 16;
     config.max_passes = 4;
-    config.nf_parallelism = planner == 1;
-    config.cross_tenant_packing = planner == 2;
+    config.planner = static_cast<switchsim::Planner>(planner);
     dataplane::DataPlane live(config);
     dataplane::DataPlane twin(config);
     ASSERT_NO_FATAL_FAILURE(InstallSharedLayout(live));

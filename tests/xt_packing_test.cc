@@ -131,11 +131,12 @@ TEST(XtPackingTest, PopulationSavesAggregatePasses) {
   EXPECT_TRUE(co_sched.AuditXtLedger().empty());
 }
 
-// With the flag off (the default), the ledger is absent, no xt metric
-// is exported, and placements are bit-identical to per-tenant packing.
+// Without co-scheduling (the default planner is sequential), the ledger
+// is absent, no xt metric is exported, and packed placements are
+// bit-identical across planes.
 TEST(XtPackingTest, OffByDefaultMatchesPerTenantPacking) {
   SwitchConfig config;
-  EXPECT_FALSE(config.cross_tenant_packing);
+  EXPECT_EQ(config.planner, switchsim::Planner::kSequential);
 
   auto reference = bench::xt::MakeXtPlane(false);
   auto also_off = bench::xt::MakeXtPlane(false);
@@ -156,12 +157,12 @@ TEST(XtPackingTest, OffByDefaultMatchesPerTenantPacking) {
   reference.ExportMetrics(registry);
   for (const auto& counter : registry.Counters()) {
     EXPECT_EQ(counter.name.rfind("parallelism.xt.", 0), std::string::npos)
-        << counter.name << " exported with cross_tenant_packing off";
+        << counter.name << " exported without co-scheduling";
   }
 }
 
-// xt metrics are exported when the flag is on, and the window ledger's
-// open/join accounting shows up in them.
+// xt metrics are exported under the co-scheduled planner, and the
+// window ledger's open/join accounting shows up in them.
 TEST(XtPackingTest, ExportsWindowMetricsWhenEnabled) {
   auto co_sched = bench::xt::MakeXtPlane(true);
   for (const auto& sfc : bench::xt::BuildXtPopulation(2.0)) {
@@ -219,8 +220,7 @@ core::SfpSystem MakeCompactionSystem() {
   config.num_stages = 8;
   config.blocks_per_stage = 1;
   config.entries_per_block = 30;
-  config.nf_parallelism = true;
-  config.cross_tenant_packing = true;
+  config.planner = switchsim::Planner::kCoScheduled;
   core::SfpSystem system(config);
   system.ProvisionPhysical(std::vector<std::vector<NfType>>{
       {NfType::kClassifier}, {NfType::kFirewall}, {NfType::kRouter}, {NfType::kNat},
@@ -298,8 +298,7 @@ TEST(XtPackingTest, SystemChurnKeepsLedgerConsistent) {
   config.num_stages = 8;
   config.blocks_per_stage = 1;
   config.entries_per_block = bench::xt::kEntriesPerBlock;
-  config.nf_parallelism = true;
-  config.cross_tenant_packing = true;
+  config.planner = switchsim::Planner::kCoScheduled;
   core::SfpSystem system(config);
   system.ProvisionPhysical(std::vector<std::vector<NfType>>{
       {NfType::kClassifier}, {NfType::kFirewall}, {NfType::kRouter}, {NfType::kNat},
@@ -349,8 +348,8 @@ struct XtTwins {
     config.num_stages = nf::kNumNfTypes;
     config.blocks_per_stage = 6;
     config.entries_per_block = 100;
-    config.nf_parallelism = true;
-    config.cross_tenant_packing = cross_tenant;
+    config.planner =
+        cross_tenant ? switchsim::Planner::kCoScheduled : switchsim::Planner::kPacked;
     return config;
   }
 

@@ -7,7 +7,7 @@
 //                                         solve and print the placement
 //   sfpctl p4    --layout fw,tc/lb,rt     emit P4 for a physical layout
 //   sfpctl trace --replay FILE [--threads N] [--batch B]
-//                [--nf-parallel on|off] [--xt-packing on|off]
+//                [--planner sequential|packed|co-scheduled]
 //                [--tenants N] [--seed S]
 //                                         replay an SFPT trace; batch > 1
 //                                         or threads > 0 selects the
@@ -15,11 +15,11 @@
 //                                         telemetry; --tenants admits N
 //                                         generated chains first and
 //                                         prints the per-tenant pass map
-//                                         (--xt-packing adds the shared
+//                                         (co-scheduled adds the shared
 //                                         stage-window occupancy)
 //   sfpctl scenario list                  list the builtin scenarios
 //   sfpctl scenario run NAME [--duration SEC] [--threads N] [--compiled 1]
-//                [--nf-parallel on|off] [--xt-packing on|off]
+//                [--planner sequential|packed|co-scheduled]
 //                                         run a scenario with its
 //                                         recovery loop and print the
 //                                         summary (docs/SCENARIOS.md)
@@ -34,6 +34,7 @@
 // Exit code 0 on success, 1 on usage/solve errors (scenario run: also
 // on a conservation violation).
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -241,28 +242,35 @@ void PrintStats(const core::SfpSystem& system, std::initializer_list<const char*
   }
 }
 
-/// Parses an on|off flag; returns `fallback` when absent, complains
-/// and returns nullopt on anything else.
-std::optional<bool> GetOnOff(const std::map<std::string, std::string>& args,
-                             const std::string& key, bool fallback) {
-  const std::string value = Get(args, key, fallback ? "on" : "off");
-  if (value == "on") return true;
-  if (value == "off") return false;
-  std::fprintf(stderr, "sfpctl: --%s must be on or off (got '%s')\n", key.c_str(),
-               value.c_str());
+/// --planner names, indexed by switchsim::Planner.
+constexpr std::array<const char*, 3> kPlannerNames = {"sequential", "packed", "co-scheduled"};
+
+const char* PlannerName(switchsim::Planner planner) {
+  return kPlannerNames[static_cast<std::size_t>(planner)];
+}
+
+/// Parses --planner; returns `fallback` when absent, complains and
+/// returns nullopt on a name not in kPlannerNames.
+std::optional<switchsim::Planner> GetPlanner(const std::map<std::string, std::string>& args,
+                                             switchsim::Planner fallback) {
+  const std::string name = Get(args, "planner", PlannerName(fallback));
+  for (std::size_t i = 0; i < kPlannerNames.size(); ++i) {
+    if (name == kPlannerNames[i]) return static_cast<switchsim::Planner>(i);
+  }
+  std::fprintf(stderr,
+               "sfpctl: --planner must be sequential, packed or co-scheduled (got '%s')\n",
+               name.c_str());
   return std::nullopt;
 }
 
 /// Admits `count` generated tenants and prints each one's pass map:
 /// which (stage, pass) every logical NF landed on, and what the
-/// chain-order reference would have cost. Lets `--nf-parallel on|off`
-/// be compared tenant by tenant on the same command line.
+/// chain-order reference would have cost. Lets the planners be
+/// compared tenant by tenant on the same command line.
 bool AdmitGeneratedTenants(core::SfpSystem& system, int count, std::uint64_t seed) {
   Rng rng(seed);
-  const auto& config = system.data_plane().pipeline().config();
-  std::printf("tenant pass map (nf-parallel %s, xt-packing %s):\n",
-              config.nf_parallelism ? "on" : "off",
-              config.cross_tenant_packing ? "on" : "off");
+  std::printf("tenant pass map (planner %s):\n",
+              PlannerName(system.data_plane().pipeline().config().planner));
   for (int t = 1; t <= count; ++t) {
     const auto tenant = static_cast<dataplane::TenantId>(t);
     const int chain_len = static_cast<int>(rng.UniformInt(3, 6));
@@ -288,7 +296,7 @@ bool AdmitGeneratedTenants(core::SfpSystem& system, int count, std::uint64_t see
 
 /// Prints the shared stage-window occupancy ledger: one line per open
 /// (pass, stage) window with its tenant-claim and rule-entry load.
-/// Shared by `trace` and `scenario run` when --xt-packing is on.
+/// Printed by `trace` under the co-scheduled planner.
 void PrintXtOccupancy(const dataplane::DataPlane& data_plane) {
   const auto* ledger = data_plane.xt_ledger();
   if (ledger == nullptr) return;
@@ -310,10 +318,8 @@ int CmdTrace(const std::map<std::string, std::string>& args) {
     std::fprintf(stderr, "sfpctl trace: --batch must be >= 1 and --threads >= 0\n");
     return 1;
   }
-  const auto parallel = GetOnOff(args, "nf-parallel", false);
-  if (!parallel) return 1;
-  const auto xt_packing = GetOnOff(args, "xt-packing", false);
-  if (!xt_packing) return 1;
+  const auto planner = GetPlanner(args, switchsim::Planner::kSequential);
+  if (!planner) return 1;
   const int tenants = std::atoi(Get(args, "tenants", "0").c_str());
   if (tenants < 0) {
     std::fprintf(stderr, "sfpctl trace: --tenants must be >= 0\n");
@@ -325,8 +331,7 @@ int CmdTrace(const std::map<std::string, std::string>& args) {
   }
 
   switchsim::SwitchConfig config;
-  config.nf_parallelism = *parallel;
-  config.cross_tenant_packing = *xt_packing;
+  config.planner = *planner;
   core::SfpSystem system{config};
   for (int t = 0; t < nf::kNumNfTypes; ++t) {
     system.data_plane().InstallPhysicalNf(t % system.data_plane().pipeline().num_stages(),
@@ -472,8 +477,8 @@ int CmdScenario(int argc, char** argv) {
   }
   if (verb != "run" || argc < 4) {
     std::fprintf(stderr, "usage: sfpctl scenario <list|run NAME> [--duration SEC] "
-                         "[--threads N] [--compiled 1] [--nf-parallel on|off] "
-                         "[--xt-packing on|off]\n");
+                         "[--threads N] [--compiled 1] "
+                         "[--planner sequential|packed|co-scheduled]\n");
     return 1;
   }
 
@@ -488,19 +493,13 @@ int CmdScenario(int argc, char** argv) {
   if (duration > 0.0) spec.duration_s = duration;
   spec.serve_threads = std::atoi(Get(args, "threads", "1").c_str());
   if (std::atoi(Get(args, "compiled", "0").c_str()) != 0) spec.use_compiled_plans = true;
-  const auto parallel = GetOnOff(args, "nf-parallel", spec.switch_config.nf_parallelism);
-  if (!parallel) return 1;
-  spec.switch_config.nf_parallelism = *parallel;
-  const auto xt_packing =
-      GetOnOff(args, "xt-packing", spec.switch_config.cross_tenant_packing);
-  if (!xt_packing) return 1;
-  spec.switch_config.cross_tenant_packing = *xt_packing;
+  const auto planner = GetPlanner(args, spec.switch_config.planner);
+  if (!planner) return 1;
+  spec.switch_config.planner = *planner;
 
-  std::printf("running %s for %.0f simulated seconds (threads=%d%s%s%s)...\n",
+  std::printf("running %s for %.0f simulated seconds (threads=%d%s, planner %s)...\n",
               spec.name.c_str(), spec.duration_s, spec.serve_threads,
-              spec.use_compiled_plans ? ", compiled plans" : "",
-              spec.switch_config.nf_parallelism ? ", nf-parallel" : "",
-              spec.switch_config.cross_tenant_packing ? ", xt-packing" : "");
+              spec.use_compiled_plans ? ", compiled plans" : "", PlannerName(*planner));
   scenario::ScenarioRunner runner(spec);
   const auto result = runner.Run();
 
@@ -543,10 +542,10 @@ int main(int argc, char** argv) {
                  "        [--time-limit SEC] [--no-consolidation]\n"
                  "  p4    --layout fw,tc/lb,rt\n"
                  "  trace --replay FILE [--threads N] [--batch B]\n"
-                 "        [--nf-parallel on|off] [--xt-packing on|off]\n"
+                 "        [--planner sequential|packed|co-scheduled]\n"
                  "        [--tenants N] [--seed S]\n"
                  "  scenario <list|run NAME> [--duration SEC] [--threads N]\n"
-                 "        [--compiled 1] [--nf-parallel on|off] [--xt-packing on|off]\n"
+                 "        [--compiled 1] [--planner sequential|packed|co-scheduled]\n"
                  "  churn --tenants N [--arrivals A] [--seed S]\n");
     return 1;
   }
