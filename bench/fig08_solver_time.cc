@@ -6,12 +6,11 @@
 // approximation stays polynomial. SFP-IP runs are capped at
 // SFP_BENCH_IP_CAP seconds (default 60) and flagged when they hit it.
 //
-// On top of the paper sweep this bench calibrates the solver rebuild:
-// one uncapped deterministic solve at L=25 on the sparse-LU kernels
-// (the default), the same solve on the legacy dense-inverse reference,
-// and the same solve with the parallel tree search. The three must
-// agree on the optimal objective, and the deterministic node/pivot
-// counters become the CI perf gate (tools/compare_bench_json.py).
+// On top of the paper sweep this bench calibrates the solver: one
+// uncapped deterministic solve at L=25 and the same solve with the
+// parallel tree search. The two must agree on the optimal objective,
+// and the deterministic node/pivot counters become the CI perf gate
+// (tools/compare_bench_json.py).
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -81,42 +80,31 @@ int main() {
       "approximation stays polynomial (~70 s at 50 SFCs with Gurobi; ours is "
       "a from-scratch simplex, compare trends not constants).");
 
-  // --- kernel calibration: sparse LU vs dense reference vs parallel ---
-  // Uncapped deterministic solves of the L=25 prefix. Counters from the
-  // sparse run are the gated CI baseline; wall-clock and the speedup
-  // ratio are reported but not gated (machine-dependent).
+  // --- solver calibration: deterministic vs parallel tree search ---
+  // Uncapped solves of the L=25 prefix. Counters from the deterministic
+  // run are the gated CI baseline; wall-clock is reported but not gated
+  // (machine-dependent).
   {
     auto instance = pool;
     instance.sfcs.resize(25);
 
-    IlpOptions sparse_options;
-    sparse_options.model.max_passes = 3;
-    sparse_options.relative_gap = 1e-4;
-    auto sparse = SolveIlp(instance, sparse_options);
+    IlpOptions det_options;
+    det_options.model.max_passes = 3;
+    det_options.relative_gap = 1e-4;
+    auto det = SolveIlp(instance, det_options);
 
-    IlpOptions dense_options = sparse_options;
-    dense_options.simplex.use_dense_inverse = true;
-    auto dense = SolveIlp(instance, dense_options);
-
-    IlpOptions parallel_options = sparse_options;
+    IlpOptions parallel_options = det_options;
     parallel_options.deterministic = false;
     auto parallel = SolveIlp(instance, parallel_options);
 
     Table calib({"kernel", "time (s)", "status", "objective", "nodes", "pivots"});
     calib.Row()
         .Add("sparse-lu")
-        .Add(sparse.seconds, 2)
-        .Add(lp::ToString(sparse.status))
-        .Add(sparse.objective, 1)
-        .Add(sparse.nodes)
-        .Add(sparse.pivots);
-    calib.Row()
-        .Add("dense-ref")
-        .Add(dense.seconds, 2)
-        .Add(lp::ToString(dense.status))
-        .Add(dense.objective, 1)
-        .Add(dense.nodes)
-        .Add(dense.pivots);
+        .Add(det.seconds, 2)
+        .Add(lp::ToString(det.status))
+        .Add(det.objective, 1)
+        .Add(det.nodes)
+        .Add(det.pivots);
     calib.Row()
         .Add("parallel")
         .Add(parallel.seconds, 2)
@@ -124,27 +112,18 @@ int main() {
         .Add(parallel.objective, 1)
         .Add(parallel.nodes)
         .Add(parallel.pivots);
-    std::printf("\nkernel calibration (uncapped, L=25):\n");
+    std::printf("\nsolver calibration (uncapped, L=25):\n");
     calib.Print(std::cout);
-    const double speedup = sparse.seconds > 0 ? dense.seconds / sparse.seconds : 0.0;
-    std::printf("sparse-LU speedup over dense reference: %.1fx\n", speedup);
     report.AddTable("calibration", calib);
 
-    ExportSolverMetrics(sparse, report.metrics(), "solver");
-    ExportSolverMetrics(dense, report.metrics(), "solver.dense");
+    ExportSolverMetrics(det, report.metrics(), "solver");
     ExportSolverMetrics(parallel, report.metrics(), "solver.par");
     report.metrics()
         .GetCounter("solver.det.objective_milli")
-        .Set(static_cast<std::uint64_t>(std::llround(sparse.objective * 1000.0)));
+        .Set(static_cast<std::uint64_t>(std::llround(det.objective * 1000.0)));
     report.metrics()
         .GetCounter("solver.par.objective_milli")
         .Set(static_cast<std::uint64_t>(std::llround(parallel.objective * 1000.0)));
-    report.metrics()
-        .GetCounter("solver.dense.objective_milli")
-        .Set(static_cast<std::uint64_t>(std::llround(dense.objective * 1000.0)));
-    report.metrics()
-        .GetCounter("solver.speedup_pct")
-        .Set(static_cast<std::uint64_t>(std::llround(speedup * 100.0)));
   }
 
   report.AddTable("sweep", table);

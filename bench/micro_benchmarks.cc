@@ -4,8 +4,10 @@
 // rounding).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -25,8 +27,6 @@
 #include "switchsim/compiler/passes.h"
 #include "switchsim/compiler/plan.h"
 #include "workload/sfc_gen.h"
-#include "lp/presolve.h"
-#include "lp/rounding.h"
 #include "workload/traffic.h"
 
 // --- allocation counter ----------------------------------------------
@@ -403,6 +403,21 @@ BENCHMARK(BM_LpConsistencyAblation)
     ->Unit(benchmark::kMillisecond)
     ->ArgNames({"aggregated"});
 
+// Naive independent rounding: every integer variable X.Y rounds up to
+// X+1 with probability Y, on its own, then clamps to its bounds.
+std::vector<double> IndependentRound(const lp::Model& model, const std::vector<double>& values,
+                                     Rng& rng) {
+  std::vector<double> rounded(values);
+  for (lp::VarId v = 0; v < model.num_vars(); ++v) {
+    const lp::Variable& var = model.var(v);
+    if (!var.is_integer) continue;
+    const double floor_value = std::floor(values[static_cast<std::size_t>(v)]);
+    const double up = rng.Bernoulli(values[static_cast<std::size_t>(v)] - floor_value) ? 1.0 : 0.0;
+    rounded[static_cast<std::size_t>(v)] = std::clamp(floor_value + up, var.lower, var.upper);
+  }
+  return rounded;
+}
+
 // Ablation: structured (dependent) vs naive independent rounding —
 // measures cost and, via counters, how often each verifies.
 void BM_RoundingAblation(benchmark::State& state) {
@@ -428,7 +443,7 @@ void BM_RoundingAblation(benchmark::State& state) {
       if (rounded && controlplane::Verify(instance, *rounded, verify_options).ok) ++verified;
       benchmark::DoNotOptimize(rounded);
     } else {
-      auto values = lp::RandomizedRound(pm.model, lp_solution.values, rng);
+      auto values = IndependentRound(pm.model, lp_solution.values, rng);
       // Naive rounding rarely even yields a decodable placement; count
       // it verified only if the full model accepts it.
       auto extracted = controlplane::ExtractSolution(instance, pm, values);
@@ -440,33 +455,6 @@ void BM_RoundingAblation(benchmark::State& state) {
       total > 0 ? static_cast<double>(verified) / static_cast<double>(total) : 0.0;
 }
 BENCHMARK(BM_RoundingAblation)->Arg(0)->Arg(1)->ArgNames({"structured"});
-
-// Presolve ablation on the placement model: reduction counts and the
-// LP solve time with/without it.
-void BM_LpPresolveAblation(benchmark::State& state) {
-  const bool presolve = state.range(0) == 1;
-  auto instance = BenchInstance(15, 83);
-  controlplane::ModelOptions options;
-  options.max_passes = 3;
-  int rows_removed = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto pm = controlplane::BuildPlacementModel(instance, options);
-    state.ResumeTiming();
-    if (presolve) {
-      auto stats = lp::Presolve(pm.model);
-      rows_removed = stats.rows_removed;
-    }
-    lp::Simplex simplex(pm.model);
-    benchmark::DoNotOptimize(simplex.Solve());
-  }
-  state.counters["rows_removed"] = rows_removed;
-}
-BENCHMARK(BM_LpPresolveAblation)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->ArgNames({"presolve"});
 
 void BM_GreedyPlacement(benchmark::State& state) {
   auto instance = BenchInstance(static_cast<int>(state.range(0)), 81);

@@ -34,8 +34,7 @@ struct ApproxOptions {
   /// far — ok stays false if nothing verified — with
   /// deadline_exceeded set so callers can degrade (greedy fallback).
   double deadline_seconds = 0.0;
-  /// LP-engine knobs (e.g. `simplex.use_dense_inverse` to benchmark the
-  /// legacy dense kernels against the sparse LU default).
+  /// LP-engine knobs (tolerances, pivot caps, refactorization period).
   lp::SimplexOptions simplex;
 };
 

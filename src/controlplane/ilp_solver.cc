@@ -2,10 +2,43 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace sfp::controlplane {
+namespace {
+
+/// Rounds an LP point for branch & bound: the deterministic earliest-fit
+/// completion plus `draws` structured roundings. Returns the best one
+/// that verifies (a rounding must beat the completion strictly), or
+/// nullopt when none does.
+std::optional<PlacementSolution> BestRounding(const PlacementInstance& instance,
+                                              const PlacementModel& pm,
+                                              const std::vector<double>& lp_values, int draws,
+                                              Rng& rng, const VerifyOptions& verify_options) {
+  PlacementSolution best;
+  double best_objective = -1.0;
+  PlacementSolution greedy = GreedyCompleteFromLp(instance, pm, lp_values);
+  if (Verify(instance, greedy, verify_options).ok) {
+    best_objective = greedy.ObjectiveWeighted(instance);
+    best = std::move(greedy);
+  }
+  for (int draw = 0; draw < draws; ++draw) {
+    auto rounded = StructuredRound(instance, pm, lp_values, rng);
+    if (!rounded || !Verify(instance, *rounded, verify_options).ok) continue;
+    const double objective = rounded->ObjectiveWeighted(instance);
+    if (objective > best_objective) {
+      best_objective = objective;
+      best = std::move(*rounded);
+    }
+  }
+  if (best_objective < 0.0) return std::nullopt;
+  return best;
+}
+
+}  // namespace
 
 SolverReport SolveIlp(const PlacementInstance& instance, const IlpOptions& options) {
   PlacementModel pm = BuildPlacementModel(instance, options.model);
@@ -34,27 +67,9 @@ SolverReport SolveIlp(const PlacementInstance& instance, const IlpOptions& optio
     solver.SetHeuristic([&instance, &pm, &rng, verify_options](
                             const std::vector<double>& lp_values,
                             std::vector<double>& candidate) {
-      // Try the deterministic earliest-fit completion plus a few
-      // randomized roundings; hand branch & bound the best verified
-      // candidate.
-      PlacementSolution best;
-      double best_objective = -1.0;
-      PlacementSolution greedy = GreedyCompleteFromLp(instance, pm, lp_values);
-      if (Verify(instance, greedy, verify_options).ok) {
-        best_objective = greedy.ObjectiveWeighted(instance);
-        best = std::move(greedy);
-      }
-      for (int draw = 0; draw < 4; ++draw) {
-        auto rounded = StructuredRound(instance, pm, lp_values, rng);
-        if (!rounded || !Verify(instance, *rounded, verify_options).ok) continue;
-        const double objective = rounded->ObjectiveWeighted(instance);
-        if (objective > best_objective) {
-          best_objective = objective;
-          best = std::move(*rounded);
-        }
-      }
-      if (best_objective < 0.0) return false;
-      candidate = SolutionToValues(instance, pm, best);
+      auto best = BestRounding(instance, pm, lp_values, /*draws=*/4, rng, verify_options);
+      if (!best) return false;
+      candidate = SolutionToValues(instance, pm, *best);
       return true;
     });
   }
@@ -67,24 +82,9 @@ SolverReport SolveIlp(const PlacementInstance& instance, const IlpOptions& optio
     lp::Simplex root(pm.model, options.simplex);
     const lp::Solution root_lp = root.Solve();
     if (root_lp.status == lp::SolveStatus::kOptimal) {
-      PlacementSolution best;
-      double best_objective = -1.0;
-      PlacementSolution greedy = GreedyCompleteFromLp(instance, pm, root_lp.values);
-      if (Verify(instance, greedy, verify_options).ok) {
-        best_objective = greedy.ObjectiveWeighted(instance);
-        best = std::move(greedy);
-      }
-      for (int draw = 0; draw < 32; ++draw) {
-        auto rounded = StructuredRound(instance, pm, root_lp.values, rng);
-        if (!rounded || !Verify(instance, *rounded, verify_options).ok) continue;
-        const double objective = rounded->ObjectiveWeighted(instance);
-        if (objective > best_objective) {
-          best_objective = objective;
-          best = std::move(*rounded);
-        }
-      }
-      if (best_objective >= 0.0) {
-        solver.SetInitialIncumbent(SolutionToValues(instance, pm, best));
+      if (auto best =
+              BestRounding(instance, pm, root_lp.values, /*draws=*/32, rng, verify_options)) {
+        solver.SetInitialIncumbent(SolutionToValues(instance, pm, *best));
       }
     }
   }

@@ -34,8 +34,7 @@ struct IlpOptions {
   bool deterministic = true;
   /// Parallel workers when `deterministic` is off (0 = auto).
   int num_workers = 0;
-  /// LP-engine knobs, e.g. `simplex.use_dense_inverse` to benchmark the
-  /// legacy dense kernels against the sparse LU default.
+  /// LP-engine knobs (tolerances, pivot caps, refactorization period).
   lp::SimplexOptions simplex;
 };
 

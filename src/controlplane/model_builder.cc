@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/units.h"
+#include "controlplane/placement_ledger.h"
 
 namespace sfp::controlplane {
 namespace {
@@ -478,64 +479,14 @@ PlacementSolution GreedyCompleteFromLp(const PlacementInstance& instance,
            lp_values[static_cast<std::size_t>(pm.y[static_cast<std::size_t>(b)])];
   });
 
-  // Exact ledgers (consolidated entries or per-logical blocks).
-  std::vector<std::vector<std::int64_t>> entries(
-      static_cast<std::size_t>(I), std::vector<std::int64_t>(static_cast<std::size_t>(S), 0));
-  std::vector<int> logical_blocks(static_cast<std::size_t>(S), 0);
-  double backplane = 0.0;
-
-  auto stage_blocks = [&](int s) {
-    if (pm.options.memory_model == MemoryModel::kPerLogicalNf) {
-      return logical_blocks[static_cast<std::size_t>(s)];
-    }
-    int blocks = 0;
-    for (int i = 0; i < I; ++i) {
-      const std::int64_t e = entries[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)];
-      if (e > 0) blocks += static_cast<int>(CeilDiv(e, instance.sw.entries_per_block));
-    }
-    return blocks;
-  };
-  auto fits = [&](int type, int s, std::int64_t mem) {
-    if (pm.options.memory_model == MemoryModel::kPerLogicalNf) {
-      const int extra =
-          static_cast<int>(std::max<std::int64_t>(1, CeilDiv(mem, instance.sw.entries_per_block)));
-      return logical_blocks[static_cast<std::size_t>(s)] + extra <=
-             instance.sw.blocks_per_stage;
-    }
-    const std::int64_t e = entries[static_cast<std::size_t>(type)][static_cast<std::size_t>(s)];
-    const int old_blocks = e > 0 ? static_cast<int>(CeilDiv(e, instance.sw.entries_per_block)) : 0;
-    const int new_blocks = static_cast<int>(CeilDiv(e + mem, instance.sw.entries_per_block));
-    return stage_blocks(s) - old_blocks + new_blocks <= instance.sw.blocks_per_stage;
-  };
-  auto charge = [&](int type, int s, std::int64_t mem) {
-    entries[static_cast<std::size_t>(type)][static_cast<std::size_t>(s)] += mem;
-    if (pm.options.memory_model == MemoryModel::kPerLogicalNf) {
-      logical_blocks[static_cast<std::size_t>(s)] += static_cast<int>(
-          std::max<std::int64_t>(1, CeilDiv(mem, instance.sw.entries_per_block)));
-    }
-  };
-  auto refund = [&](int type, int s, std::int64_t mem) {
-    entries[static_cast<std::size_t>(type)][static_cast<std::size_t>(s)] -= mem;
-    if (pm.options.memory_model == MemoryModel::kPerLogicalNf) {
-      logical_blocks[static_cast<std::size_t>(s)] -= static_cast<int>(
-          std::max<std::int64_t>(1, CeilDiv(mem, instance.sw.entries_per_block)));
-    }
-  };
-
+  PlacementLedger ledger(instance, pm.options.memory_model, pm.K, std::move(solution.physical));
   for (int l : order) {
     const SfcSpec& sfc = instance.sfcs[static_cast<std::size_t>(l)];
     ChainPlacement& chain = solution.chains[static_cast<std::size_t>(l)];
     if (const auto pinned = pm.options.pinned.find(l); pinned != pm.options.pinned.end()) {
+      ledger.Reserve(sfc, pinned->second);
       chain.placed = true;
       chain.virtual_stages = pinned->second;
-      for (int j = 0; j < sfc.Length(); ++j) {
-        const int s = (pinned->second[static_cast<std::size_t>(j)] - 1) % S;
-        charge(sfc.boxes[static_cast<std::size_t>(j)].type, s,
-               sfc.boxes[static_cast<std::size_t>(j)].MemoryUnits(instance.sw.rule_width));
-        solution.physical[static_cast<std::size_t>(sfc.boxes[static_cast<std::size_t>(j)].type)]
-                         [static_cast<std::size_t>(s)] = true;
-      }
-      backplane += chain.Passes(S) * sfc.bandwidth_gbps;
       continue;
     }
     if (pm.options.excluded.contains(l)) continue;
@@ -543,55 +494,14 @@ PlacementSolution GreedyCompleteFromLp(const PlacementInstance& instance,
 
     // Earliest-fit, preferring installed stages; a missing physical NF
     // is installed on demand (free under eq. 24).
-    std::vector<int> stages;
-    int prev = 0;
-    bool failed = false;
-    for (const NfBox& box : sfc.boxes) {
-      int chosen = -1;
-      for (int k = prev + 1; k <= K; ++k) {
-        const int s = (k - 1) % S;
-        if (!solution.physical[static_cast<std::size_t>(box.type)][static_cast<std::size_t>(s)]) {
-          continue;
-        }
-        if (!fits(box.type, s, box.MemoryUnits(instance.sw.rule_width))) continue;
-        chosen = k;
-        break;
-      }
-      if (chosen < 0) {
-        for (int k = prev + 1; k <= K; ++k) {
-          const int s = (k - 1) % S;
-          if (!fits(box.type, s, box.MemoryUnits(instance.sw.rule_width))) continue;
-          chosen = k;
-          solution.physical[static_cast<std::size_t>(box.type)][static_cast<std::size_t>(s)] =
-              true;
-          break;
-        }
-      }
-      if (chosen < 0) {
-        failed = true;
-        break;
-      }
-      charge(box.type, (chosen - 1) % S, box.MemoryUnits(instance.sw.rule_width));
-      stages.push_back(chosen);
-      prev = chosen;
-    }
-    const int passes = failed ? 0 : (stages.back() + S - 1) / S;
-    if (!failed &&
-        backplane + passes * sfc.bandwidth_gbps > instance.sw.capacity_gbps + 1e-9) {
-      failed = true;
-    }
-    if (failed) {
-      for (std::size_t j = 0; j < stages.size(); ++j) {
-        refund(sfc.boxes[j].type, (stages[j] - 1) % S, sfc.boxes[j].MemoryUnits(instance.sw.rule_width));
-      }
-      continue;
-    }
-    backplane += passes * sfc.bandwidth_gbps;
+    std::vector<int> stages = ledger.WalkEarliest(sfc, /*prefer_installed=*/true);
+    if (!ledger.Admit(sfc, stages)) continue;
     chain.placed = true;
     chain.virtual_stages = std::move(stages);
   }
 
   // eq. 4 repair.
+  solution.physical = ledger.layout();
   for (int i = 0; i < I; ++i) {
     bool any = false;
     for (int s = 0; s < S; ++s) {
@@ -670,65 +580,19 @@ std::optional<PlacementSolution> StructuredRound(const PlacementInstance& instan
     solution.physical[static_cast<std::size_t>(i)][static_cast<std::size_t>(best_s)] = true;
   }
 
-  // Exact ledgers mirror the verifier so sampled placements are
+  // An exact ledger mirrors the verifier so sampled placements are
   // memory- and capacity-feasible by construction: a draw that would
   // overflow a stage leaves the chain in software instead of wasting
   // the whole rounding attempt.
-  std::vector<std::vector<std::int64_t>> entries(
-      static_cast<std::size_t>(I), std::vector<std::int64_t>(static_cast<std::size_t>(S), 0));
-  std::vector<int> logical_blocks(static_cast<std::size_t>(S), 0);
-  double backplane = 0.0;
-  const bool per_logical = pm.options.memory_model == MemoryModel::kPerLogicalNf;
-  auto stage_blocks = [&](int s) {
-    if (per_logical) return logical_blocks[static_cast<std::size_t>(s)];
-    int blocks = 0;
-    for (int i = 0; i < I; ++i) {
-      const std::int64_t e = entries[static_cast<std::size_t>(i)][static_cast<std::size_t>(s)];
-      if (e > 0) blocks += static_cast<int>(CeilDiv(e, instance.sw.entries_per_block));
-    }
-    return blocks;
-  };
-  auto fits = [&](int type, int s, std::int64_t mem) {
-    if (per_logical) {
-      const int extra = static_cast<int>(
-          std::max<std::int64_t>(1, CeilDiv(mem, instance.sw.entries_per_block)));
-      return logical_blocks[static_cast<std::size_t>(s)] + extra <=
-             instance.sw.blocks_per_stage;
-    }
-    const std::int64_t e = entries[static_cast<std::size_t>(type)][static_cast<std::size_t>(s)];
-    const int old_blocks = e > 0 ? static_cast<int>(CeilDiv(e, instance.sw.entries_per_block)) : 0;
-    const int new_blocks = static_cast<int>(CeilDiv(e + mem, instance.sw.entries_per_block));
-    return stage_blocks(s) - old_blocks + new_blocks <= instance.sw.blocks_per_stage;
-  };
-  auto charge = [&](int type, int s, std::int64_t mem) {
-    entries[static_cast<std::size_t>(type)][static_cast<std::size_t>(s)] += mem;
-    if (per_logical) {
-      logical_blocks[static_cast<std::size_t>(s)] += static_cast<int>(
-          std::max<std::int64_t>(1, CeilDiv(mem, instance.sw.entries_per_block)));
-    }
-  };
-  auto refund = [&](int type, int s, std::int64_t mem) {
-    entries[static_cast<std::size_t>(type)][static_cast<std::size_t>(s)] -= mem;
-    if (per_logical) {
-      logical_blocks[static_cast<std::size_t>(s)] -= static_cast<int>(
-          std::max<std::int64_t>(1, CeilDiv(mem, instance.sw.entries_per_block)));
-    }
-  };
-
+  PlacementLedger ledger(instance, pm.options.memory_model, pm.K, std::move(solution.physical));
   solution.chains.resize(instance.sfcs.size());
   // Pinned residents consume their resources first (§V-E).
   for (const auto& [l, stages] : pm.options.pinned) {
     if (stripped.contains(l)) continue;
-    const SfcSpec& sfc = instance.sfcs[static_cast<std::size_t>(l)];
+    ledger.Reserve(instance.sfcs[static_cast<std::size_t>(l)], stages);
     ChainPlacement& chain = solution.chains[static_cast<std::size_t>(l)];
     chain.placed = true;
     chain.virtual_stages = stages;
-    for (int j = 0; j < sfc.Length(); ++j) {
-      charge(sfc.boxes[static_cast<std::size_t>(j)].type,
-             (stages[static_cast<std::size_t>(j)] - 1) % S,
-             sfc.boxes[static_cast<std::size_t>(j)].MemoryUnits(instance.sw.rule_width));
-    }
-    backplane += chain.Passes(S) * sfc.bandwidth_gbps;
   }
 
   // Remaining chains in random order so resource ties don't
@@ -741,7 +605,6 @@ std::optional<PlacementSolution> StructuredRound(const PlacementInstance& instan
   rng.Shuffle(order);
 
   for (int l : order) {
-    ChainPlacement& chain = solution.chains[static_cast<std::size_t>(l)];
     const SfcSpec& sfc = instance.sfcs[static_cast<std::size_t>(l)];
     const double y = lp_values[static_cast<std::size_t>(pm.y[static_cast<std::size_t>(l)])];
     if (!rng.Bernoulli(y)) continue;
@@ -752,28 +615,23 @@ std::optional<PlacementSolution> StructuredRound(const PlacementInstance& instan
     // (c) stages with memory headroom (eq. 24/25).
     std::vector<int> stages_chosen;
     int prev = 0;
-    bool failed = false;
-    for (int j = 0; j < sfc.Length() && !failed; ++j) {
+    for (int j = 0; j < sfc.Length(); ++j) {
       const NfBox& box = sfc.boxes[static_cast<std::size_t>(j)];
       const std::int64_t mem = box.MemoryUnits(instance.sw.rule_width);
       std::vector<double> weights;
       std::vector<int> candidates;
       for (int k = prev + 1; k <= pm.K; ++k) {
         const int s = (k - 1) % S;
-        if (!solution.physical[static_cast<std::size_t>(box.type)][static_cast<std::size_t>(s)]) {
-          continue;
-        }
+        if (!ledger.Installed(box.type, s)) continue;
         const lp::VarId v = pm.z[static_cast<std::size_t>(l)][static_cast<std::size_t>(j)]
                                 [static_cast<std::size_t>(k)];
         if (v < 0) continue;
-        if (!fits(box.type, s, mem)) continue;
+        if (!ledger.Fits(box.type, s, mem)) continue;
         candidates.push_back(k);
         // Consolidation bias: a stage already holding this type packs
         // the new rules into its partially-filled block (eq. 24), so
         // prefer it over opening a fresh (type, stage) pair.
-        const double consolidation_bonus =
-            entries[static_cast<std::size_t>(box.type)][static_cast<std::size_t>(s)] > 0 ? 4.0
-                                                                                         : 1.0;
+        const double consolidation_bonus = ledger.Entries(box.type, s) > 0 ? 4.0 : 1.0;
         // Pass-compactness bias: later passes burn shared backplane
         // capacity (eq. 26), so prefer the earliest feasible pass.
         const double pass_decay = 1.0 / (1 << std::min(8, (k - 1) / S));
@@ -784,39 +642,19 @@ std::optional<PlacementSolution> StructuredRound(const PlacementInstance& instan
         // Repair: install the type at the nearest later stage with
         // memory headroom (physical installs cost nothing under the
         // eq. 24 model) instead of abandoning the chain.
-        for (int k = prev + 1; k <= pm.K; ++k) {
-          const int s = (k - 1) % S;
-          if (!fits(box.type, s, mem)) continue;
-          solution.physical[static_cast<std::size_t>(box.type)][static_cast<std::size_t>(s)] =
-              true;
-          candidates.push_back(k);
-          weights.push_back(1.0);
-          break;
-        }
-      }
-      if (candidates.empty()) {
-        failed = true;
-        break;
+        const int k = ledger.EarliestFit(box.type, mem, prev, /*installed_only=*/false);
+        if (k < 0) break;
+        ledger.Install(box.type, (k - 1) % S);
+        candidates.push_back(k);
+        weights.push_back(1.0);
       }
       prev = candidates[rng.WeightedIndex(weights)];
-      charge(box.type, (prev - 1) % S, mem);
+      ledger.Charge(box.type, (prev - 1) % S, mem);
       stages_chosen.push_back(prev);
     }
-    if (!failed) {
-      const int passes = (stages_chosen.back() + S - 1) / S;
-      if (backplane + passes * sfc.bandwidth_gbps > instance.sw.capacity_gbps + 1e-9) {
-        failed = true;
-      } else {
-        backplane += passes * sfc.bandwidth_gbps;
-      }
-    }
-    if (failed) {
-      for (std::size_t j = 0; j < stages_chosen.size(); ++j) {
-        refund(sfc.boxes[j].type, (stages_chosen[j] - 1) % S,
-               sfc.boxes[j].MemoryUnits(instance.sw.rule_width));
-      }
-      continue;  // this chain stays in software this draw
-    }
+    // A chain whose draw does not fit stays in software this draw.
+    if (!ledger.Admit(sfc, stages_chosen)) continue;
+    ChainPlacement& chain = solution.chains[static_cast<std::size_t>(l)];
     chain.placed = true;
     chain.virtual_stages = std::move(stages_chosen);
   }
@@ -837,48 +675,13 @@ std::optional<PlacementSolution> StructuredRound(const PlacementInstance& instan
   });
   for (int l : leftovers) {
     const SfcSpec& sfc = instance.sfcs[static_cast<std::size_t>(l)];
-    std::vector<int> stages_chosen;
-    int prev = 0;
-    bool failed = false;
-    for (int j = 0; j < sfc.Length() && !failed; ++j) {
-      const NfBox& box = sfc.boxes[static_cast<std::size_t>(j)];
-      const std::int64_t mem = box.MemoryUnits(instance.sw.rule_width);
-      int chosen = -1;
-      for (int k = prev + 1; k <= pm.K; ++k) {
-        const int s = (k - 1) % S;
-        if (!fits(box.type, s, mem)) continue;
-        chosen = k;
-        solution.physical[static_cast<std::size_t>(box.type)][static_cast<std::size_t>(s)] =
-            true;
-        break;
-      }
-      if (chosen < 0) {
-        failed = true;
-        break;
-      }
-      charge(box.type, (chosen - 1) % S, mem);
-      stages_chosen.push_back(chosen);
-      prev = chosen;
-    }
-    if (!failed) {
-      const int passes = (stages_chosen.back() + S - 1) / S;
-      if (backplane + passes * sfc.bandwidth_gbps > instance.sw.capacity_gbps + 1e-9) {
-        failed = true;
-      } else {
-        backplane += passes * sfc.bandwidth_gbps;
-      }
-    }
-    if (failed) {
-      for (std::size_t j = 0; j < stages_chosen.size(); ++j) {
-        refund(sfc.boxes[j].type, (stages_chosen[j] - 1) % S,
-               sfc.boxes[j].MemoryUnits(instance.sw.rule_width));
-      }
-      continue;
-    }
+    std::vector<int> stages = ledger.WalkEarliest(sfc, /*prefer_installed=*/false);
+    if (!ledger.Admit(sfc, stages)) continue;
     ChainPlacement& chain = solution.chains[static_cast<std::size_t>(l)];
     chain.placed = true;
-    chain.virtual_stages = std::move(stages_chosen);
+    chain.virtual_stages = std::move(stages);
   }
+  solution.physical = ledger.layout();
   return solution;
 }
 

@@ -9,6 +9,13 @@
 #include "common/worker_pool.h"
 
 namespace sfp::lp {
+namespace {
+
+/// Observations per direction before a variable's own pseudocost is
+/// trusted over the global average.
+constexpr std::int64_t kPseudocostReliability = 1;
+
+}  // namespace
 
 MipSolver::MipSolver(const Model& model, MipOptions options)
     : model_(model),
@@ -35,10 +42,9 @@ void MipSolver::ApplyNodeBounds(Simplex& simplex, const NodeChain* chain) const 
 }
 
 VarId MipSolver::PickBranchVar(const std::vector<double>& values) {
-  const bool use_pc = options_.branching == MipOptions::Branching::kPseudocost;
   double global_avg[2] = {0.0, 0.0};
   std::int64_t total_obs = 0;
-  if (use_pc) {
+  {
     std::lock_guard<std::mutex> lock(pseudo_mutex_);
     total_obs = pseudo_global_count_[0] + pseudo_global_count_[1];
     for (int d = 0; d < 2; ++d) {
@@ -58,7 +64,7 @@ VarId MipSolver::PickBranchVar(const std::vector<double>& values) {
   // the most-fractional rule. Ascending var order + strict comparisons
   // make exact ties deterministic (lowest id wins).
   std::unique_lock<std::mutex> pc_lock(pseudo_mutex_, std::defer_lock);
-  if (use_pc && total_obs > 0) pc_lock.lock();
+  if (total_obs > 0) pc_lock.lock();
   for (VarId v : int_vars_) {
     const double value = values[static_cast<std::size_t>(v)];
     const double frac = value - std::floor(value);
@@ -66,12 +72,12 @@ VarId MipSolver::PickBranchVar(const std::vector<double>& values) {
     if (dist <= options_.integer_tol) continue;
     const int priority = model_.var(v).branch_priority;
     double score = 0.0;
-    if (use_pc && total_obs > 0) {
+    if (total_obs > 0) {
       const Pseudocost& pc = pseudo_[static_cast<std::size_t>(v)];
-      const double down = pc.count[0] >= options_.pseudocost_reliability
+      const double down = pc.count[0] >= kPseudocostReliability
                               ? pc.sum[0] / static_cast<double>(pc.count[0])
                               : global_avg[0];
-      const double up = pc.count[1] >= options_.pseudocost_reliability
+      const double up = pc.count[1] >= kPseudocostReliability
                             ? pc.sum[1] / static_cast<double>(pc.count[1])
                             : global_avg[1];
       score = std::max(down * frac, 1e-12) * std::max(up * (1.0 - frac), 1e-12);
@@ -194,7 +200,7 @@ void MipSolver::ProcessNode(Simplex& simplex, const OpenNode& node, bool snapsho
     std::lock_guard<std::mutex> lock(incumbent_mutex_);
     root_bound_internal_ = bound;
   }
-  if (node.branch_var >= 0 && options_.branching == MipOptions::Branching::kPseudocost) {
+  if (node.branch_var >= 0) {
     const double degradation = std::max(0.0, node.parent_bound - bound);
     if (std::isfinite(degradation)) {
       UpdatePseudocost(node.branch_var, node.branch_dir, node.branch_frac, degradation);

@@ -62,12 +62,6 @@ struct MipOptions {
   /// Parallel tree-search workers when `deterministic` is off
   /// (0 = common::DefaultParallelism()).
   int num_workers = 0;
-  /// Branching variable selection rule.
-  enum class Branching { kMostFractional, kPseudocost };
-  Branching branching = Branching::kPseudocost;
-  /// LP-solve observations per direction before a variable's own
-  /// pseudocost estimate is trusted over the global average.
-  int pseudocost_reliability = 1;
   SimplexOptions simplex;
 };
 

@@ -39,17 +39,6 @@ void Model::SetVarBounds(VarId var, double lower, double upper) {
   v.upper = upper;
 }
 
-void Model::ReplaceRows(std::vector<Row> rows) {
-  for (const Row& row : rows) {
-    SFP_CHECK_EQ(row.vars.size(), row.coeffs.size());
-    for (VarId v : row.vars) {
-      SFP_CHECK_GE(v, 0);
-      SFP_CHECK_LT(v, num_vars());
-    }
-  }
-  rows_ = std::move(rows);
-}
-
 void Model::SetBranchPriority(VarId var, int priority) {
   vars_[static_cast<std::size_t>(var)].branch_priority = priority;
 }

@@ -78,10 +78,6 @@ class Model {
   /// Tightens a variable's bounds (used by branch & bound).
   void SetVarBounds(VarId var, double lower, double upper);
 
-  /// Replaces the whole row set (used by presolve to drop redundant
-  /// rows). Every referenced variable must exist.
-  void ReplaceRows(std::vector<Row> rows);
-
   void SetBranchPriority(VarId var, int priority);
 
   std::int32_t num_vars() const { return static_cast<std::int32_t>(vars_.size()); }

@@ -136,15 +136,7 @@ void Simplex::ResetBasisToSlacks() {
       status_[v] = VStatus::kFreeNb;
     }
   }
-  if (options_.use_dense_inverse) {
-    binv_.assign(static_cast<std::size_t>(num_rows_) * num_rows_, 0.0);
-    for (std::int32_t r = 0; r < num_rows_; ++r) {
-      binv_[static_cast<std::size_t>(r) * num_rows_ + r] = 1.0;
-    }
-  } else {
-    RefactorizeSparse();  // the slack basis is the identity: cannot fail
-  }
-  pivots_since_refactor_ = 0;
+  Refactorize();  // the slack basis is the identity: cannot fail
   basis_valid_ = true;
   needs_refactor_ = false;
 }
@@ -211,33 +203,13 @@ void Simplex::ComputeBasicValues() {
       residual[static_cast<std::size_t>(r)] -= x_[slack];
     }
   }
-  if (options_.use_dense_inverse) {
-    // x_B = Binv * residual.
-    for (std::int32_t p = 0; p < num_rows_; ++p) {
-      const double* row = &binv_[static_cast<std::size_t>(p) * num_rows_];
-      double acc = 0.0;
-      for (std::int32_t r = 0; r < num_rows_; ++r) {
-        acc += row[r] * residual[static_cast<std::size_t>(r)];
-      }
-      x_[static_cast<std::size_t>(basis_[p])] = acc;
-    }
-  } else {
-    lu_.Ftran(residual);
-    for (std::int32_t p = 0; p < num_rows_; ++p) {
-      x_[static_cast<std::size_t>(basis_[p])] = residual[static_cast<std::size_t>(p)];
-    }
+  lu_.Ftran(residual);
+  for (std::int32_t p = 0; p < num_rows_; ++p) {
+    x_[static_cast<std::size_t>(basis_[p])] = residual[static_cast<std::size_t>(p)];
   }
 }
 
 bool Simplex::Refactorize() {
-  ++stats_.refactorizations;
-  const bool ok =
-      options_.use_dense_inverse ? RefactorizeDense() : RefactorizeSparse();
-  if (ok) pivots_since_refactor_ = 0;
-  return ok;
-}
-
-bool Simplex::RefactorizeSparse() {
   std::vector<SparseColumn> cols(static_cast<std::size_t>(num_rows_));
   for (std::int32_t p = 0; p < num_rows_; ++p) {
     const std::int32_t var = basis_[p];
@@ -251,92 +223,23 @@ bool Simplex::RefactorizeSparse() {
       out.vals = {1.0};
     }
   }
-  return lu_.Factorize(cols);
-}
-
-bool Simplex::RefactorizeDense() {
-  const std::size_t m = static_cast<std::size_t>(num_rows_);
-  std::vector<double> bmat(m * m, 0.0);
-  for (std::size_t p = 0; p < m; ++p) {
-    const std::int32_t var = basis_[p];
-    if (var < num_struct_) {
-      const Column& col = columns_[static_cast<std::size_t>(var)];
-      for (std::size_t t = 0; t < col.rows.size(); ++t) {
-        bmat[static_cast<std::size_t>(col.rows[t]) * m + p] = col.vals[t];
-      }
-    } else {
-      bmat[static_cast<std::size_t>(var - num_struct_) * m + p] = 1.0;
-    }
-  }
-  std::vector<double> inv(m * m, 0.0);
-  for (std::size_t r = 0; r < m; ++r) inv[r * m + r] = 1.0;
-
-  // Gauss-Jordan with partial pivoting, applied to [bmat | inv].
-  for (std::size_t k = 0; k < m; ++k) {
-    std::size_t pivot_row = k;
-    double best = std::abs(bmat[k * m + k]);
-    for (std::size_t r = k + 1; r < m; ++r) {
-      const double cand = std::abs(bmat[r * m + k]);
-      if (cand > best) {
-        best = cand;
-        pivot_row = r;
-      }
-    }
-    if (best < 1e-11) return false;  // singular basis
-    if (pivot_row != k) {
-      for (std::size_t c = 0; c < m; ++c) {
-        std::swap(bmat[pivot_row * m + c], bmat[k * m + c]);
-        std::swap(inv[pivot_row * m + c], inv[k * m + c]);
-      }
-    }
-    const double scale = 1.0 / bmat[k * m + k];
-    for (std::size_t c = 0; c < m; ++c) {
-      bmat[k * m + c] *= scale;
-      inv[k * m + c] *= scale;
-    }
-    for (std::size_t r = 0; r < m; ++r) {
-      if (r == k) continue;
-      const double factor = bmat[r * m + k];
-      if (factor == 0.0) continue;
-      for (std::size_t c = 0; c < m; ++c) {
-        bmat[r * m + c] -= factor * bmat[k * m + c];
-        inv[r * m + c] -= factor * inv[k * m + c];
-      }
-    }
-  }
-  binv_ = std::move(inv);
+  if (!lu_.Factorize(cols)) return false;
+  pivots_since_refactor_ = 0;
   return true;
 }
 
 void Simplex::Ftran(std::int32_t j, std::vector<double>& w) {
   const std::size_t m = static_cast<std::size_t>(num_rows_);
   w.assign(m, 0.0);
-  if (options_.use_dense_inverse) {
-    if (j < num_struct_) {
-      const Column& col = columns_[static_cast<std::size_t>(j)];
-      for (std::size_t p = 0; p < m; ++p) {
-        const double* row = &binv_[p * m];
-        double acc = 0.0;
-        for (std::size_t t = 0; t < col.rows.size(); ++t) {
-          acc += row[static_cast<std::size_t>(col.rows[t])] * col.vals[t];
-        }
-        w[p] = acc;
-      }
-    } else {
-      const std::size_t r = static_cast<std::size_t>(j - num_struct_);
-      for (std::size_t p = 0; p < m; ++p) w[p] = binv_[p * m + r];
+  if (j < num_struct_) {
+    const Column& col = columns_[static_cast<std::size_t>(j)];
+    for (std::size_t t = 0; t < col.rows.size(); ++t) {
+      w[static_cast<std::size_t>(col.rows[t])] = col.vals[t];
     }
   } else {
-    if (j < num_struct_) {
-      const Column& col = columns_[static_cast<std::size_t>(j)];
-      for (std::size_t t = 0; t < col.rows.size(); ++t) {
-        w[static_cast<std::size_t>(col.rows[t])] = col.vals[t];
-      }
-    } else {
-      w[static_cast<std::size_t>(j - num_struct_)] = 1.0;
-    }
-    lu_.Ftran(w);
+    w[static_cast<std::size_t>(j - num_struct_)] = 1.0;
   }
+  lu_.Ftran(w);
   for (std::size_t p = 0; p < m; ++p) {
     if (w[p] != 0.0) ++stats_.ftran_nnz;
   }
@@ -344,21 +247,11 @@ void Simplex::Ftran(std::int32_t j, std::vector<double>& w) {
 
 void Simplex::ComputeDuals(const std::vector<double>& cost, std::vector<double>& y) const {
   const std::size_t m = static_cast<std::size_t>(num_rows_);
-  if (options_.use_dense_inverse) {
-    y.assign(m, 0.0);
-    for (std::size_t p = 0; p < m; ++p) {
-      const double cb = cost[static_cast<std::size_t>(basis_[p])];
-      if (cb == 0.0) continue;
-      const double* row = &binv_[p * m];
-      for (std::size_t r = 0; r < m; ++r) y[r] += cb * row[r];
-    }
-  } else {
-    y.resize(m);
-    for (std::size_t p = 0; p < m; ++p) {
-      y[p] = cost[static_cast<std::size_t>(basis_[p])];
-    }
-    lu_.Btran(y);
+  y.resize(m);
+  for (std::size_t p = 0; p < m; ++p) {
+    y[p] = cost[static_cast<std::size_t>(basis_[p])];
   }
+  lu_.Btran(y);
 }
 
 double Simplex::ReducedCost(std::int32_t j, const std::vector<double>& cost,
@@ -530,26 +423,9 @@ void Simplex::ApplyStep(const Entering& e, const std::vector<double>& w,
   basis_[p] = e.var;
   status_[j] = VStatus::kBasic;
 
-  bool update_ok = true;
-  if (options_.use_dense_inverse) {
-    // Product-form update of the dense inverse: row p is scaled by
-    // 1/w_p and eliminated from every other row.
-    const double pivot = w[p];
-    double* prow = &binv_[p * m];
-    const double inv_pivot = 1.0 / pivot;
-    for (std::size_t c = 0; c < m; ++c) prow[c] *= inv_pivot;
-    for (std::size_t q = 0; q < m; ++q) {
-      if (q == p) continue;
-      const double factor = w[q];
-      if (factor == 0.0) continue;
-      double* qrow = &binv_[q * m];
-      for (std::size_t c = 0; c < m; ++c) qrow[c] -= factor * prow[c];
-    }
-  } else {
-    update_ok = lu_.Update(r.leaving_pos, w);
-  }
-
-  if (!update_ok || ++pivots_since_refactor_ >= options_.refactor_interval) {
+  if (!lu_.Update(r.leaving_pos, w) ||
+      ++pivots_since_refactor_ >= options_.refactor_interval) {
+    ++stats_.refactorizations;
     if (!Refactorize()) {
       SFP_LOG_WARN << "singular basis during refactorization; resetting";
       ResetBasisToSlacks();
@@ -745,14 +621,9 @@ Simplex::DualOutcome Simplex::TryDualWarmStart() {
     }
 
     // rho = row p of Binv; alpha_j = rho . A_j is the pivot-row entry.
-    if (options_.use_dense_inverse) {
-      const double* row = &binv_[static_cast<std::size_t>(p) * m];
-      rho.assign(row, row + m);
-    } else {
-      rho.assign(m, 0.0);
-      rho[static_cast<std::size_t>(p)] = 1.0;
-      lu_.Btran(rho);
-    }
+    rho.assign(m, 0.0);
+    rho[static_cast<std::size_t>(p)] = 1.0;
+    lu_.Btran(rho);
     ComputeDuals(cost_, y);
 
     // Entering choice: smallest dual ratio |d_j| / |alpha_j| among the
@@ -854,6 +725,7 @@ Solution Simplex::Solve() {
   } else if (needs_refactor_) {
     // A restored snapshot: factorize it; a singular one (stale
     // numerics after bound changes) falls back to the slack basis.
+    ++stats_.refactorizations;
     if (Refactorize()) {
       needs_refactor_ = false;
     } else {

@@ -10,9 +10,8 @@
 //    pivoting, see basis_lu.h) refreshed with product-form eta updates,
 //    so Ftran/Btran/pricing are sparse triangular solves; it is
 //    refactorized every `refactor_interval` pivots or on numerical
-//    drift. `SimplexOptions::use_dense_inverse` switches to the legacy
-//    dense Gauss-Jordan inverse with product-form row updates, kept as
-//    the differential reference for the sparse kernels,
+//    drift. tests/lp_tableau_oracle.h keeps an independent textbook
+//    dense-tableau simplex as the differential reference,
 //  * phase 1 is the composite method: basic variables outside their
 //    bounds get a +/-1 cost pushing them back inside; an infeasible
 //    variable blocks the ratio test when it reaches the bound it
@@ -58,14 +57,10 @@ struct SimplexOptions {
   double opt_tol = 1e-7;
   /// Hard cap on total simplex iterations (phases 1+2 combined).
   std::int64_t max_iterations = 200000;
-  /// Basis refactorization period in pivots (dense inverse rebuild or
-  /// sparse LU eta-file flush).
+  /// Basis refactorization period in pivots (sparse LU eta-file flush).
   int refactor_interval = 120;
   /// Pivots without objective progress before switching to Bland's rule.
   int bland_trigger = 400;
-  /// Use the legacy dense basis inverse instead of the sparse LU
-  /// kernels. Kept as the slow-but-simple differential reference.
-  bool use_dense_inverse = false;
   /// Warm re-solves try a dual-simplex repair from the previous basis
   /// before falling back to composite phase 1 (see header comment).
   bool warm_dual = false;
@@ -89,8 +84,8 @@ class Simplex {
     /// degrading to phase 1.
     std::int64_t warm_successes = 0;
     int refactorizations = 0;
-    /// Nonzeros of all Ftran results (sparse path; dense Ftrans count
-    /// every position). Tracks how sparse the pivot columns stay.
+    /// Nonzeros of all Ftran results. Tracks how sparse the pivot
+    /// columns stay.
     std::int64_t ftran_nnz = 0;
   };
 
@@ -151,7 +146,10 @@ class Simplex {
   void ResetBasisToSlacks();
   void SnapNonbasicToBounds();
   void ComputeBasicValues();
-  bool Refactorize();  // false if basis singular
+  // Sparse LU rebuild of lu_ from the current basis; false if singular.
+  // Callers count it in stats_.refactorizations (the slack basis, the
+  // identity, is not counted).
+  bool Refactorize();
 
   // --- iteration pieces ---------------------------------------------
   // Multiplies w = Binv * A_j for column j.
@@ -195,11 +193,6 @@ class Simplex {
   // Sum of cost_' x in minimize space (phase-2 progress + objective).
   double CurrentObjective() const;
 
-  // Dense Gauss-Jordan rebuild of binv_ (reference path).
-  bool RefactorizeDense();
-  // Sparse LU rebuild of lu_ from the current basis.
-  bool RefactorizeSparse();
-
   // --- data ----------------------------------------------------------
   SimplexOptions options_;
   std::int32_t num_rows_ = 0;
@@ -214,8 +207,7 @@ class Simplex {
   std::vector<VStatus> status_;       // size num_total_
   std::vector<std::int32_t> basis_;   // size num_rows_ (var per basis pos)
   std::vector<double> x_;             // size num_total_
-  std::vector<double> binv_;          // dense num_rows_^2, row-major (dense path)
-  BasisLu lu_;                        // sparse path
+  BasisLu lu_;
   bool basis_valid_ = false;
   /// A restored snapshot needs a fresh factorization before use.
   bool needs_refactor_ = false;

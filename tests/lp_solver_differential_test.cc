@@ -1,12 +1,14 @@
-// Differential tests for the solver rebuild.
+// Differential tests for the LP and MIP solvers.
 //
-//  * SolverDifferentialTest — randomized LPs solved by the sparse-LU
-//    kernels (the default) and the legacy dense-inverse reference
-//    (SimplexOptions::use_dense_inverse): statuses must match and
-//    optimal objectives agree to tolerance, including across
-//    warm-restart sequences that tighten/relax bounds between solves.
-//    The suite is sharded so > 1000 instances run by default; set
-//    SFP_LP_DIFF_INSTANCES to scale the per-shard count up or down.
+//  * SolverDifferentialTest — randomized LPs solved by lp::Simplex and
+//    by the independent dense-tableau oracle (lp_tableau_oracle.h):
+//    statuses must match and optimal objectives agree to a relative
+//    1e-6. Each LP then has random bounds tightened three times; the
+//    kernel re-solves warm from its previous basis, the oracle solves
+//    the edited model cold. The suite is sharded so > 1000 instances
+//    run by default; set SFP_LP_DIFF_INSTANCES to scale the per-shard
+//    count up or down.
+//  * TableauOracleTest — the oracle itself on LPs with known answers.
 //  * ParallelMipTest — the parallel tree search must reproduce the
 //    deterministic mode's optimal objective for worker counts
 //    {1, 2, hardware_concurrency}.
@@ -22,6 +24,7 @@
 #include "lp/mip.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "lp_tableau_oracle.h"
 
 namespace sfp::lp {
 namespace {
@@ -35,7 +38,8 @@ int InstancesPerShard() {
 }
 
 // A random box-bounded LP: always bounded (finite bounds on every
-// variable), sometimes infeasible — both solvers must agree either way.
+// variable), sometimes infeasible — kernel and oracle must agree either
+// way.
 Model RandomBoxLp(Rng& rng) {
   Model model;
   model.SetMaximize(rng.Bernoulli(0.5));
@@ -67,11 +71,11 @@ Model RandomBoxLp(Rng& rng) {
 
 // Relative-ish objective agreement: LP optima can be large, so scale
 // the tolerance by the magnitude.
-void ExpectObjectivesAgree(const Solution& sparse, const Solution& dense) {
-  ASSERT_EQ(sparse.status, dense.status);
-  if (sparse.status != SolveStatus::kOptimal) return;
-  const double scale = std::max({1.0, std::abs(sparse.objective), std::abs(dense.objective)});
-  EXPECT_NEAR(sparse.objective, dense.objective, 1e-6 * scale);
+void ExpectObjectivesAgree(const Solution& kernel, const Solution& oracle) {
+  ASSERT_EQ(kernel.status, oracle.status);
+  if (kernel.status != SolveStatus::kOptimal) return;
+  const double scale = std::max({1.0, std::abs(kernel.objective), std::abs(oracle.objective)});
+  EXPECT_NEAR(kernel.objective, oracle.objective, 1e-6 * scale);
 }
 
 class SolverDifferentialTest : public ::testing::TestWithParam<int> {};
@@ -81,15 +85,13 @@ TEST_P(SolverDifferentialTest, SparseLuMatchesDenseReference) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 9176 + 11);
   for (int i = 0; i < instances; ++i) {
     const Model model = RandomBoxLp(rng);
+    Simplex kernel(model);
+    ExpectObjectivesAgree(kernel.Solve(), TableauOracle::Solve(model));
 
-    SimplexOptions dense_options;
-    dense_options.use_dense_inverse = true;
-    Simplex sparse(model);
-    Simplex dense(model, dense_options);
-    ExpectObjectivesAgree(sparse.Solve(), dense.Solve());
-
-    // Warm-restart sequence: tighten/relax random bounds in lockstep
-    // and re-solve; both engines reuse their previous basis.
+    // Warm-restart sequence: each round sets one variable's bounds to a
+    // random subrange of its original box; the kernel reuses its
+    // previous basis, the oracle solves the edited model from scratch.
+    Model edited = model;
     for (int round = 0; round < 3; ++round) {
       const VarId v = static_cast<VarId>(rng.UniformInt(0, model.num_vars() - 1));
       const Variable& var = model.var(v);
@@ -99,9 +101,9 @@ TEST_P(SolverDifferentialTest, SparseLuMatchesDenseReference) {
       } else {
         upper = var.upper - rng.UniformDouble(0, 0.5 * (var.upper - var.lower));
       }
-      sparse.SetVarBounds(v, lower, upper);
-      dense.SetVarBounds(v, lower, upper);
-      ExpectObjectivesAgree(sparse.Solve(), dense.Solve());
+      kernel.SetVarBounds(v, lower, upper);
+      edited.SetVarBounds(v, lower, upper);
+      ExpectObjectivesAgree(kernel.Solve(), TableauOracle::Solve(edited));
     }
   }
 }
@@ -109,6 +111,40 @@ TEST_P(SolverDifferentialTest, SparseLuMatchesDenseReference) {
 // 35 shards x 30 instances = 1050 random LPs (each also re-solved
 // three times warm) at the default setting.
 INSTANTIATE_TEST_SUITE_P(RandomLps, SolverDifferentialTest, ::testing::Range(0, 35));
+
+TEST(TableauOracleTest, SolvesKnownLps) {
+  // max 3a + 2b  s.t.  a + b <= 4,  a + 3b <= 6,  0 <= a <= 3,
+  // 0 <= b <= 10  ->  a = 3, b = 1: 11.
+  Model lp;
+  const VarId a = lp.AddVar(0, 3, 3, false);
+  const VarId b = lp.AddVar(0, 10, 2, false);
+  lp.AddRow({a, b}, {1, 1}, Sense::kLe, 4);
+  lp.AddRow({a, b}, {1, 3}, Sense::kLe, 6);
+  Solution solution = TableauOracle::Solve(lp);
+  ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(solution.objective, 11.0, 1e-9);
+  EXPECT_NEAR(solution.values[0], 3.0, 1e-9);
+  EXPECT_NEAR(solution.values[1], 1.0, 1e-9);
+
+  // min a - b  s.t.  a + b == 2,  a - b >= -3 over negative lower
+  // bounds -5 <= a, b <= 5  ->  a = -0.5, b = 2.5: -3.
+  Model shifted;
+  const VarId c = shifted.AddVar(-5, 5, 1, false);
+  const VarId d = shifted.AddVar(-5, 5, -1, false);
+  shifted.SetMaximize(false);
+  shifted.AddRow({c, d}, {1, 1}, Sense::kEq, 2);
+  shifted.AddRow({c, d}, {1, -1}, Sense::kGe, -3);
+  solution = TableauOracle::Solve(shifted);
+  ASSERT_EQ(solution.status, SolveStatus::kOptimal);
+  EXPECT_NEAR(solution.objective, -3.0, 1e-9);
+
+  // a + b >= 5 cannot hold with a, b <= 2.
+  Model infeasible;
+  const VarId e = infeasible.AddVar(0, 2, 1, false);
+  const VarId f = infeasible.AddVar(0, 2, 1, false);
+  infeasible.AddRow({e, f}, {1, 1}, Sense::kGe, 5);
+  EXPECT_EQ(TableauOracle::Solve(infeasible).status, SolveStatus::kInfeasible);
+}
 
 // A random knapsack-style MIP with binary and small general-integer
 // variables; feasible by construction (all-zeros).

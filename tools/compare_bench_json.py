@@ -36,10 +36,12 @@ Regenerate baselines (from the repo root, Release build):
       ./build/bench/fig04_throughput   # and fig05_latency,
                                        # ext1_latency_under_load,
                                        # ext2_system_throughput,
+                                       # fig06_num_sfcs,
                                        # fig07_recirculation,
                                        # fig08_solver_time, fig09_early_stop,
                                        # fig10_algorithms (solver benches:
                                        # also set SFP_BENCH_IP_CAP=5),
+                                       # fig11_runtime_update,
                                        # ext3_admission_churn, scn_*
 
 Usage:
@@ -126,11 +128,19 @@ GATES = [
     # rather than an exact match.
     (r"solver\.(nodes|pivots|refactorizations)$", {"tolerance": 0.25}),
     # The calibration objectives (milli-units) must agree across the
-    # sparse, dense-reference and parallel solvers to LP tolerance.
-    (r"solver\.(det|dense|par)\.objective_milli$", {"tolerance": 0.001}),
+    # deterministic and parallel tree searches to LP tolerance.
+    (r"solver\.(det|par)\.objective_milli$", {"tolerance": 0.001}),
     # Dropped nodes weaken the dual bound; the calibration solve must
     # never drop any.
     (r"solver\.nodes_dropped$", {"abs_max": 0}),
+    # fig06 / fig11 table cells (SFP-Appro placements, x10 for the
+    # one-decimal columns). Seed-determined on one binary, but the LP
+    # vertex the rounding starts from can move across the compiler
+    # matrix. Changing only the rounding seed moved fig06 cells by up to
+    # 4% and fig11's updated throughput by up to 10%, so each family
+    # gets a band of about twice that.
+    (r"consolidation\.l\d+\.", {"tolerance": 0.10}),
+    (r"update\.drop\d+\.", {"tolerance": 0.20}),
     # Scenario benches (scn_*): conservation must never be violated and
     # no recovery episode may be left open after the drain, whatever
     # the baseline says.

@@ -31,6 +31,9 @@
 //                                         and print decision and
 //                                         latency stats
 //
+// Each command takes only the keys listed above: an unknown key, a key
+// without a value or a stray argument is a usage error.
+//
 // Exit code 0 on success, 1 on usage/solve errors (scenario run: also
 // on a conservation violation).
 #include <algorithm>
@@ -65,32 +68,53 @@ namespace {
 using namespace sfp;
 using namespace sfp::controlplane;
 
-/// --key value / --key=value argument map (flags without values
-/// unsupported except --no-consolidation).
-std::map<std::string, std::string> ParseArgs(int argc, char** argv, int first) {
-  std::map<std::string, std::string> args;
+using Args = std::map<std::string, std::string>;
+
+/// Parses `--key value` / `--key=value` arguments from argv[first..]
+/// for a command that takes exactly `keys`; `--no-consolidation` is the
+/// one flag without a value. Names the offending argument and returns
+/// nullopt on an unknown key, a key without a value, or a stray
+/// positional argument.
+std::optional<Args> ParseArgs(int argc, char** argv, int first,
+                              const std::vector<std::string>& keys) {
+  Args args;
   for (int i = first; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
-    key = key.substr(2);
-    if (const auto eq = key.find('='); eq != std::string::npos) {
-      args[key.substr(0, eq)] = key.substr(eq + 1);
-    } else if (key == "no-consolidation") {
-      args[key] = "1";
-    } else if (i + 1 < argc) {
-      args[key] = argv[++i];
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      std::fprintf(stderr, "sfpctl: unexpected argument '%s'\n", arg.c_str());
+      return std::nullopt;
     }
+    std::string key = arg.substr(2);
+    std::optional<std::string> value;
+    if (const auto eq = key.find('='); eq != std::string::npos) {
+      value = key.substr(eq + 1);
+      key.resize(eq);
+    }
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      std::fprintf(stderr, "sfpctl: unknown option '--%s'\n", key.c_str());
+      return std::nullopt;
+    }
+    if (!value) {
+      if (key == "no-consolidation") {
+        value = "1";
+      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
+        value = argv[++i];
+      } else {
+        std::fprintf(stderr, "sfpctl: option '--%s' needs a value\n", key.c_str());
+        return std::nullopt;
+      }
+    }
+    args[key] = *value;
   }
   return args;
 }
 
-std::string Get(const std::map<std::string, std::string>& args, const std::string& key,
-                const std::string& fallback) {
+std::string Get(const Args& args, const std::string& key, const std::string& fallback) {
   const auto it = args.find(key);
   return it != args.end() ? it->second : fallback;
 }
 
-int CmdGen(const std::map<std::string, std::string>& args) {
+int CmdGen(const Args& args) {
   workload::DatasetParams params;
   params.num_sfcs = std::atoi(Get(args, "sfcs", "20").c_str());
   params.num_types = std::atoi(Get(args, "types", "10").c_str());
@@ -136,7 +160,7 @@ void PrintSolution(const PlacementInstance& instance, const PlacementSolution& s
   }
 }
 
-int CmdPlace(const std::map<std::string, std::string>& args) {
+int CmdPlace(const Args& args) {
   const std::string in = Get(args, "in", "");
   if (in.empty()) {
     std::fprintf(stderr, "sfpctl place: --in FILE required\n");
@@ -191,7 +215,7 @@ int CmdPlace(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
-int CmdP4(const std::map<std::string, std::string>& args) {
+int CmdP4(const Args& args) {
   // --layout "fw,tc/lb,rt": stages separated by '/', NFs by ','.
   const std::string layout_text = Get(args, "layout", "fw/tc/lb/rt");
   dataplane::DataPlane dp{switchsim::SwitchConfig{}};
@@ -251,8 +275,7 @@ const char* PlannerName(switchsim::Planner planner) {
 
 /// Parses --planner; returns `fallback` when absent, complains and
 /// returns nullopt on a name not in kPlannerNames.
-std::optional<switchsim::Planner> GetPlanner(const std::map<std::string, std::string>& args,
-                                             switchsim::Planner fallback) {
+std::optional<switchsim::Planner> GetPlanner(const Args& args, switchsim::Planner fallback) {
   const std::string name = Get(args, "planner", PlannerName(fallback));
   for (std::size_t i = 0; i < kPlannerNames.size(); ++i) {
     if (name == kPlannerNames[i]) return static_cast<switchsim::Planner>(i);
@@ -310,7 +333,7 @@ void PrintXtOccupancy(const dataplane::DataPlane& data_plane) {
   }
 }
 
-int CmdTrace(const std::map<std::string, std::string>& args) {
+int CmdTrace(const Args& args) {
   const std::string path = Get(args, "replay", "");
   const int threads = std::atoi(Get(args, "threads", "0").c_str());
   const int batch = std::atoi(Get(args, "batch", "1").c_str());
@@ -398,7 +421,7 @@ int CmdTrace(const std::map<std::string, std::string>& args) {
   return 0;
 }
 
-int CmdChurn(const std::map<std::string, std::string>& args) {
+int CmdChurn(const Args& args) {
   workload::ChurnOptions churn;
   churn.target_population = std::atoll(Get(args, "tenants", "1000").c_str());
   if (churn.target_population < 1) {
@@ -488,7 +511,9 @@ int CmdScenario(int argc, char** argv) {
                          "scenario list)\n", argv[3]);
     return 1;
   }
-  const auto args = ParseArgs(argc, argv, 4);
+  const auto parsed = ParseArgs(argc, argv, 4, {"duration", "threads", "compiled", "planner"});
+  if (!parsed) return 1;
+  const Args& args = *parsed;
   const double duration = std::atof(Get(args, "duration", "0").c_str());
   if (duration > 0.0) spec.duration_s = duration;
   spec.serve_threads = std::atoi(Get(args, "threads", "1").c_str());
@@ -550,13 +575,24 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string command = argv[1];
-  const auto args = ParseArgs(argc, argv, 2);
-  if (command == "gen") return CmdGen(args);
-  if (command == "place") return CmdPlace(args);
-  if (command == "p4") return CmdP4(args);
-  if (command == "trace") return CmdTrace(args);
   if (command == "scenario") return CmdScenario(argc, argv);
-  if (command == "churn") return CmdChurn(args);
+  // Each command with the keys it takes.
+  const struct {
+    const char* name;
+    std::vector<std::string> keys;
+    int (*run)(const Args&);
+  } commands[] = {
+      {"gen", {"sfcs", "types", "seed", "len-min", "len-max", "out"}, CmdGen},
+      {"place", {"in", "algo", "passes", "time-limit", "no-consolidation"}, CmdPlace},
+      {"p4", {"layout"}, CmdP4},
+      {"trace", {"replay", "threads", "batch", "planner", "tenants", "seed"}, CmdTrace},
+      {"churn", {"tenants", "arrivals", "seed"}, CmdChurn},
+  };
+  for (const auto& cmd : commands) {
+    if (command != cmd.name) continue;
+    const auto args = ParseArgs(argc, argv, 2, cmd.keys);
+    return args ? cmd.run(*args) : 1;
+  }
   std::fprintf(stderr, "sfpctl: unknown command '%s'\n", command.c_str());
   return 1;
 }
