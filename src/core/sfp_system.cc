@@ -191,11 +191,9 @@ switchsim::BatchOptions FuseTelemetry(dataplane::TelemetryCollector& telemetry,
                                       std::span<const net::Packet> packets,
                                       const switchsim::BatchOptions& options) {
   switchsim::BatchOptions fused = options;
-  fused.result_sink = [&telemetry, packets, caller_sink = options.result_sink](
-                          std::span<const std::uint32_t> indices,
-                          std::span<const switchsim::ProcessResult> results) {
+  fused.result_sink = [&telemetry, packets](std::span<const std::uint32_t> indices,
+                                            std::span<const switchsim::ProcessResult> results) {
     telemetry.RecordBatch(indices, packets, results);
-    if (caller_sink) caller_sink(indices, results);
   };
   return fused;
 }

@@ -198,8 +198,8 @@ class SfpSystem {
   /// worker interleaving cannot change any total. Concurrent
   /// AdmitTenant/RemoveTenant from another thread is safe; traffic
   /// itself must come from one thread at a time (or via this batch
-  /// API, which parallelizes internally). A caller-provided
-  /// options.result_sink still runs, after telemetry, on each worker.
+  /// API, which parallelizes internally). The telemetry sink replaces
+  /// options.result_sink.
   std::vector<switchsim::ProcessResult> ProcessBatch(
       std::span<const net::Packet> packets, const switchsim::BatchOptions& options = {});
 

@@ -157,13 +157,38 @@ switchsim::EntryDeltas DataPlane::OwnEntriesOut(TenantId tenant) const {
   return out;
 }
 
+DataPlane::WindowCounts DataPlane::HeldWindows() const {
+  WindowCounts held;
+  for (const auto& [tenant, allocation] : allocations_) {
+    for (const NfPlacement& placement : allocation.result.placements) {
+      ++held[{placement.pass, placement.stage}];
+    }
+  }
+  return held;
+}
+
 bool DataPlane::Schedule(const Sfc& sfc, int pass_limit,
                          const std::vector<std::vector<std::size_t>>& preds,
-                         const std::vector<bool>& steer, std::vector<PlanStep>& plan) const {
+                         const std::vector<bool>& steer, const WindowCounts& held,
+                         std::vector<PlanStep>& plan) const {
   plan.assign(sfc.chain.size(), PlanStep{});
   // Prospective entries per table: the tenant's own installed entries
   // out, plus this plan's earlier NFs landing in the stage.
   switchsim::EntryDeltas pending = OwnEntriesOut(sfc.tenant);
+  // Planned as if the tenant had departed (a re-provision or a
+  // compaction probe): a window is open only when another tenant holds
+  // it, so its own placements don't count.
+  const AllocationResult* own = steer.empty() ? nullptr : FindAllocation(sfc.tenant);
+  auto open_for_others = [&](int pass, int stage) {
+    const auto it = held.find({pass, stage});
+    int others = it != held.end() ? it->second : 0;
+    if (own != nullptr) {
+      for (const NfPlacement& placement : own->placements) {
+        if (placement.pass == pass && placement.stage == stage) --others;
+      }
+    }
+    return others > 0;
+  };
   std::vector<std::vector<const switchsim::MatchActionTable*>> claimed(
       static_cast<std::size_t>(std::max(pass_limit, 0)));
   int max_pass = -1;  // highest pass placed so far (-1: none)
@@ -197,11 +222,9 @@ bool DataPlane::Schedule(const Sfc& sfc, int pass_limit,
           break;
         }
         // Extra passes dominate, so steering never grows the plan by a
-        // pass. Planned as if the tenant had departed (a re-provision
-        // or a compaction probe): its own claims don't count as open.
-        const std::tuple<int, int, int, int> score{
-            std::max(p - max_pass, 0), -k,
-            xt_ledger_.WindowOpenExcluding(p, k, sfc.tenant) ? 0 : 1, p};
+        // pass.
+        const std::tuple<int, int, int, int> score{std::max(p - max_pass, 0), -k,
+                                                   open_for_others(p, k) ? 0 : 1, p};
         if (best == nullptr || score < best_score) {
           best = slot;
           best_pass = p;
@@ -279,7 +302,7 @@ AllocationPlan DataPlane::PlanSfc(const Sfc& sfc, std::optional<int> max_passes)
   std::vector<std::vector<std::size_t>> chain_order(sfc.chain.size());
   for (std::size_t j = 1; j < chain_order.size(); ++j) chain_order[j] = {j - 1};
   std::vector<PlanStep> steps;
-  const bool sequential_ok = Schedule(sfc, pass_limit, chain_order, {}, steps);
+  const bool sequential_ok = Schedule(sfc, pass_limit, chain_order, {}, {}, steps);
   const int sequential_passes = sequential_ok ? AssignRecMarks(steps) : 0;
   bool placed = sequential_ok;
   int total_passes = sequential_passes;
@@ -296,7 +319,7 @@ AllocationPlan DataPlane::PlanSfc(const Sfc& sfc, std::optional<int> max_passes)
         rejects[static_cast<std::size_t>(MergeReject::kFieldConflict)];
     stats.reject_drop_gate = rejects[static_cast<std::size_t>(MergeReject::kDropGate)];
     std::vector<PlanStep> packed;
-    if (Schedule(sfc, pass_limit, preds, {}, packed)) {
+    if (Schedule(sfc, pass_limit, preds, {}, {}, packed)) {
       const int packed_passes = AssignRecMarks(packed);
       // Never-worse fallback: keep the sequential layout when greedy
       // packing needs at least as many passes.
@@ -309,11 +332,12 @@ AllocationPlan DataPlane::PlanSfc(const Sfc& sfc, std::optional<int> max_passes)
       }
     }
     if (planner == switchsim::Planner::kCoScheduled) {
-      // Co-schedule against the fabric-wide stage-window ledger, taken
+      // Co-schedule against the windows the population holds, taken
       // only when it needs no more passes than the reference just
       // chosen (it may also place a chain the others could not).
       std::vector<PlanStep> co;
-      const bool co_ok = Schedule(sfc, pass_limit, preds, SuccessorFree(preds), co);
+      const bool co_ok =
+          Schedule(sfc, pass_limit, preds, SuccessorFree(preds), HeldWindows(), co);
       const int co_passes = co_ok ? AssignRecMarks(co) : 0;
       if (co_ok && (!placed || co_passes <= total_passes)) {
         steps = std::move(co);
@@ -369,15 +393,12 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
     return failed;
   };
 
-  std::vector<PhysicalNfSlot*> slots;
-  slots.reserve(sfc.chain.size());
-  Allocation allocation{plan.allocation, {}};
+  Allocation allocation{plan.allocation, {}, {}};
   for (std::size_t j = 0; j < sfc.chain.size(); ++j) {
     const NfPlacement& placement = plan.allocation.placements[j];
     const auto& logical = sfc.chain[j];
     PhysicalNfSlot* slot = FindSlot(placement.stage, logical.type);
     SFP_CHECK_MSG(slot != nullptr, "allocation plan names a missing physical NF");
-    slots.push_back(slot);
     allocation.entries[slot->table] += static_cast<std::int64_t>(logical.rules.size()) + 1;
     // PlanSfc flagged the execution-order-last NF of every non-final
     // pass.
@@ -413,21 +434,17 @@ AllocationResult DataPlane::InstallSfc(const Sfc& sfc, const AllocationPlan& pla
 
   PassPackingStats stats = plan.packing;
   if (co_scheduled()) {
-    // Book the installed placements in the shared ledger (one claim
-    // per logical NF) — also for non-co-scheduled installs, so the
-    // ledger mirrors the pipeline's whole occupancy and later tenants
-    // see every open window.
-    std::vector<StageWindowLedger::Claim> claims;
-    claims.reserve(slots.size());
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      const NfPlacement& placement = plan.allocation.placements[j];
-      claims.push_back({placement.pass, placement.stage, slots[j]->table,
-                        static_cast<std::int64_t>(sfc.chain[j].rules.size()) + 1});
+    // In chain order, a placement opens a window no allocation holds
+    // and joins one that is held, by another tenant or by an earlier
+    // NF of this chain (fallback installs count too: every allocation
+    // holds its windows).
+    WindowCounts held = HeldWindows();
+    for (const NfPlacement& placement : plan.allocation.placements) {
+      int& count = held[{placement.pass, placement.stage}];
+      ++(count > 0 ? stats.xt_windows_joined : stats.xt_windows_opened);
+      ++count;
     }
-    const auto [opened, joined] = xt_ledger_.Commit(sfc.tenant, std::move(claims));
-    stats.xt_windows_opened = opened;
-    stats.xt_windows_joined = joined;
-    retained_[sfc.tenant] = sfc;
+    allocation.sfc = sfc;
   }
   if (pipeline_.config().planner != switchsim::Planner::kSequential) RecordPassPacking(stats);
   allocations_[sfc.tenant] = std::move(allocation);
@@ -449,9 +466,6 @@ std::size_t DataPlane::DeallocateSfc(TenantId tenant) {
   // concurrently throughout.
   for (auto& slot : slots_) removed += slot.table->RemoveTenantEntries(tenant);
   allocations_.erase(tenant);
-  // No-ops unless co-scheduling booked the tenant at admit.
-  xt_ledger_.Release(tenant);
-  retained_.erase(tenant);
   InvalidatePlan(tenant);
   return removed;
 }
@@ -460,14 +474,15 @@ std::vector<DataPlane::CompactionCandidate> DataPlane::PlanCompaction() const {
   std::vector<CompactionCandidate> candidates;
   if (!co_scheduled()) return candidates;
   const int pass_limit = pipeline_.config().max_passes;
+  const WindowCounts held = HeldWindows();
   for (const auto& [tenant, allocation] : allocations_) {
     const int passes = allocation.result.passes;
-    if (passes <= 1) continue;  // already optimal
-    const auto it = retained_.find(tenant);
-    if (it == retained_.end()) continue;
-    const auto preds = DependencyEdges(it->second);
+    if (passes <= 1 || !allocation.sfc) continue;  // optimal, or nothing to re-plan
+    const auto preds = DependencyEdges(*allocation.sfc);
     std::vector<PlanStep> probe;
-    if (!Schedule(it->second, pass_limit, preds, SuccessorFree(preds), probe)) continue;
+    if (!Schedule(*allocation.sfc, pass_limit, preds, SuccessorFree(preds), held, probe)) {
+      continue;
+    }
     const int replanned = AssignRecMarks(probe);
     if (replanned < passes) candidates.push_back({tenant, passes, replanned});
   }
@@ -481,62 +496,42 @@ std::vector<DataPlane::CompactionCandidate> DataPlane::PlanCompaction() const {
   return candidates;
 }
 
-std::vector<std::string> DataPlane::AuditXtLedger() const {
+std::vector<std::string> DataPlane::Audit() const {
   std::vector<std::string> issues;
-  if (!co_scheduled()) return issues;
-  for (const auto& [tenant, allocation] : allocations_) {
-    if (!xt_ledger_.HasTenant(tenant)) {
-      issues.push_back("tenant " + std::to_string(tenant) +
-                       " allocated but missing from the ledger");
-    }
-  }
-  for (const auto& [tenant, claims] : xt_ledger_.claims()) {
-    if (!allocations_.contains(tenant)) {
-      issues.push_back("tenant " + std::to_string(tenant) +
-                       " in the ledger but not allocated");
-      continue;
-    }
-    const auto it = retained_.find(tenant);
-    if (it == retained_.end()) {
-      issues.push_back("tenant " + std::to_string(tenant) + " has no retained SFC");
-      continue;
-    }
-    std::int64_t expected = 0;
-    for (const auto& logical : it->second.chain) {
-      expected += static_cast<std::int64_t>(logical.rules.size()) + 1;
-    }
-    if (xt_ledger_.TenantEntries(tenant) != expected) {
-      issues.push_back("tenant " + std::to_string(tenant) + " books " +
-                       std::to_string(xt_ledger_.TenantEntries(tenant)) +
-                       " ledger entries, chain expects " + std::to_string(expected));
-    }
-  }
-  // Window aggregates must equal the per-tenant claims that formed them.
-  std::map<StageWindowLedger::WindowKey, StageWindowLedger::Window> recomputed;
-  for (const auto& [tenant, claims] : xt_ledger_.claims()) {
-    for (const auto& claim : claims) {
-      auto& window = recomputed[{claim.pass, claim.stage}];
-      ++window.claims;
-      window.entries += claim.entries;
-    }
-  }
-  if (recomputed.size() != xt_ledger_.windows().size()) {
-    issues.push_back("window count diverges from the committed claims");
-  } else {
-    for (const auto& [key, window] : xt_ledger_.windows()) {
-      const auto it = recomputed.find(key);
-      if (it == recomputed.end() || it->second.claims != window.claims ||
-          it->second.entries != window.entries) {
-        issues.push_back("window (pass " + std::to_string(key.first) + ", stage " +
-                         std::to_string(key.second) + ") occupancy diverges");
+  for (const auto& slot : slots_) {
+    std::map<TenantId, std::int64_t> per_owner;
+    for (const auto& entry : slot.table->entries()) ++per_owner[entry.owner_tenant];
+    const std::string where = slot.table->name() + ": tenant ";
+    for (const auto& [tenant, allocation] : allocations_) {
+      const auto it = allocation.entries.find(slot.table);
+      const std::int64_t booked = it != allocation.entries.end() ? it->second : 0;
+      const auto node = per_owner.extract(tenant);
+      const std::int64_t holds = node.empty() ? 0 : node.mapped();
+      if (holds != booked) {
+        issues.push_back(where + std::to_string(tenant) + " holds " + std::to_string(holds) +
+                         " entries, its allocation books " + std::to_string(booked));
       }
     }
+    for (const auto& [tenant, holds] : per_owner) {
+      issues.push_back(where + std::to_string(tenant) + " holds " + std::to_string(holds) +
+                       " entries and no allocation");
+    }
   }
-  // And the ledger total must equal the rules actually installed.
-  if (xt_ledger_.TotalEntries() != pipeline_.TotalEntriesUsed()) {
-    issues.push_back("ledger books " + std::to_string(xt_ledger_.TotalEntries()) +
-                     " entries, pipeline holds " +
-                     std::to_string(pipeline_.TotalEntriesUsed()));
+  if (!co_scheduled()) return issues;
+  for (const auto& [tenant, allocation] : allocations_) {
+    if (!allocation.sfc) {
+      issues.push_back("tenant " + std::to_string(tenant) + " has no retained chain");
+      continue;
+    }
+    std::int64_t booked = 0;
+    for (const auto& [table, entries] : allocation.entries) booked += entries;
+    // Rules + one catch-all per logical NF.
+    const std::int64_t chain = allocation.sfc->TotalRules() + allocation.sfc->Length();
+    if (chain != booked) {
+      issues.push_back("tenant " + std::to_string(tenant) + " books " +
+                       std::to_string(booked) + " entries, its retained chain expects " +
+                       std::to_string(chain));
+    }
   }
   return issues;
 }
@@ -562,8 +557,8 @@ AllocationResult DataPlane::SwapSfc(TenantId tenant, const Sfc* sfc,
   };
 
   // Step 1: take the old entries out, keeping everything that puts
-  // them back exactly: the entries themselves, the allocation record,
-  // and (co-scheduling) the window claims and retained SFC.
+  // them back exactly: the entries themselves and the allocation
+  // record.
   if (SFP_FAULT("dataplane.apply_op")) return injected("taking the old entries out");
   Allocation old = std::move(it->second);
   std::vector<std::pair<switchsim::MatchActionTable*, switchsim::TableEntry>> old_entries;
@@ -573,11 +568,6 @@ AllocationResult DataPlane::SwapSfc(TenantId tenant, const Sfc* sfc,
       if (entry.owner_tenant == tenant) old_entries.emplace_back(slot.table, entry);
     }
   }
-  std::vector<StageWindowLedger::Claim> old_claims;
-  if (const auto claims = xt_ledger_.claims().find(tenant); claims != xt_ledger_.claims().end()) {
-    old_claims = claims->second;
-  }
-  auto old_retained = retained_.extract(tenant);
   DeallocateSfc(tenant);
 
   // Step 2: install the plan exactly as it was checked.
@@ -601,8 +591,6 @@ AllocationResult DataPlane::SwapSfc(TenantId tenant, const Sfc* sfc,
     }
     if (restored) {
       allocations_.emplace(tenant, std::move(old));
-      if (!old_claims.empty()) xt_ledger_.Commit(tenant, std::move(old_claims));
-      if (!old_retained.empty()) retained_.insert(std::move(old_retained));
       InvalidatePlan(tenant);
       return installed;
     }

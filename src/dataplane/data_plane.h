@@ -31,11 +31,11 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
 #include "dataplane/sfc.h"
-#include "dataplane/stage_window.h"
 #include "switchsim/pipeline.h"
 
 namespace sfp::dataplane {
@@ -110,7 +110,8 @@ struct PassPackingStats {
   std::uint64_t xt_allocations = 0;
   /// Placements that opened a new (pass, stage) window.
   std::uint64_t xt_windows_opened = 0;
-  /// Placements that joined a window another tenant already holds.
+  /// Placements that joined a window already held (by another tenant,
+  /// or by an earlier NF of the same chain).
   std::uint64_t xt_windows_joined = 0;
   /// Co-scheduled plans discarded for the per-tenant reference (the
   /// never-worse fallback: co-scheduling needed more passes).
@@ -233,21 +234,16 @@ class DataPlane {
   switchsim::Pipeline& pipeline() { return pipeline_; }
   const switchsim::Pipeline& pipeline() const { return pipeline_; }
 
-  /// The fabric-wide stage-window occupancy ledger, or nullptr unless
-  /// Planner::kCoScheduled (DESIGN.md "Cross-tenant pass sharing").
-  /// Read-only; valid until the next (de)allocation.
-  const StageWindowLedger* xt_ledger() const { return co_scheduled() ? &xt_ledger_ : nullptr; }
-
-  /// The SFC a tenant was admitted with (retained for departure-time
-  /// window compaction; Planner::kCoScheduled only). nullptr when
-  /// unknown.
+  /// The SFC a tenant was admitted with (kept in its allocation for
+  /// departure-time window compaction; Planner::kCoScheduled only).
+  /// nullptr when unknown. Valid until the next (de)allocation.
   const Sfc* RetainedSfc(TenantId tenant) const {
-    const auto it = retained_.find(tenant);
-    return it != retained_.end() ? &it->second : nullptr;
+    const auto it = allocations_.find(tenant);
+    return it != allocations_.end() && it->second.sfc ? &*it->second.sfc : nullptr;
   }
 
   /// One tenant whose retained SFC would re-plan into fewer passes
-  /// against the current ledger (its own entries discounted).
+  /// against the other tenants' current allocations.
   struct CompactionCandidate {
     TenantId tenant = 0;
     int current_passes = 0;
@@ -261,12 +257,14 @@ class DataPlane {
   /// transaction. Empty unless Planner::kCoScheduled.
   std::vector<CompactionCandidate> PlanCompaction() const;
 
-  /// Ledger conservation check (empty == consistent, entries describe
-  /// violations): ledger tenants == allocated tenants, per-tenant
-  /// ledger entries == Σ (rules + 1) over the retained chain, window
-  /// occupancy == Σ claims, and the ledger total == the pipeline's
-  /// installed entry count. Always empty unless Planner::kCoScheduled.
-  std::vector<std::string> AuditXtLedger() const;
+  /// Checks the installed tables against the allocation books (empty
+  /// == consistent, entries describe violations): every physical table
+  /// holds, per owner tenant, exactly the entries that tenant's
+  /// allocation books there, so no table holds entries of a tenant
+  /// without one; under Planner::kCoScheduled each retained chain's
+  /// Σ (rules + 1) also equals its allocation's booked entries.
+  /// O(installed entries); call with no control op in flight.
+  std::vector<std::string> Audit() const;
 
   /// All physical NF types installed per stage (for inspection/P4 gen).
   std::vector<std::vector<nf::NfType>> PhysicalLayout() const;
@@ -299,12 +297,22 @@ class DataPlane {
   PhysicalNfSlot* FindSlot(int stage, nf::NfType type);
   const PhysicalNfSlot* FindSlot(int stage, nf::NfType type) const;
 
-  /// One allocated tenant: its allocation, and the entries it holds
-  /// per table (what planning "minus the tenant" discounts).
+  /// One allocated tenant: its allocation, the entries it holds per
+  /// table (what planning "minus the tenant" discounts), and under
+  /// Planner::kCoScheduled the chain compaction re-plans.
   struct Allocation {
     AllocationResult result;
     switchsim::EntryDeltas entries;
+    std::optional<Sfc> sfc;
   };
+
+  /// Logical-NF placements per (pass, stage) window: the stage-window
+  /// occupancy the co-scheduler steers against (DESIGN.md
+  /// "Cross-tenant pass sharing").
+  using WindowCounts = std::map<std::pair<int, int>, int>;
+
+  /// Every allocation's placements per window, in one pass.
+  WindowCounts HeldWindows() const;
 
   /// The capacity deltas every planner starts from: `tenant`'s own
   /// installed entries, negated (empty when it holds none).
@@ -334,13 +342,15 @@ class DataPlane {
   /// the feasible slot with the lowest (passes added to the plan so
   /// far, -stage, window not already open for another tenant, pass):
   /// late stages keep early-stage capacity for order-constrained
-  /// chains, and open windows line claims up across tenants. `steer`
-  /// (empty: none) must be successor-free, so every NF finds its
-  /// predecessors placed. preds[j] = {j - 1} is the paper's §IV walk.
-  /// Returns false when some NF fits no slot within `pass_limit`.
+  /// chains, and open windows (`held` minus the tenant's own
+  /// placements) line placements up across tenants. `steer` (empty:
+  /// none) must be successor-free, so every NF finds its predecessors
+  /// placed. preds[j] = {j - 1} is the paper's §IV walk. Returns false
+  /// when some NF fits no slot within `pass_limit`.
   bool Schedule(const Sfc& sfc, int pass_limit,
                 const std::vector<std::vector<std::size_t>>& preds,
-                const std::vector<bool>& steer, std::vector<PlanStep>& plan) const;
+                const std::vector<bool>& steer, const WindowCounts& held,
+                std::vector<PlanStep>& plan) const;
 
   /// Marks the execution-order-last step of every non-final pass with
   /// the REC flag (stage order, then table order within the stage —
@@ -356,14 +366,8 @@ class DataPlane {
 
   switchsim::Pipeline pipeline_;
   std::vector<PhysicalNfSlot> slots_;
-  /// tenant -> its allocation and per-table entries.
+  /// tenant -> its allocation: the one record of what is installed.
   std::map<TenantId, Allocation> allocations_;
-  /// Shared (pass, stage) occupancy across tenants; only populated
-  /// under Planner::kCoScheduled.
-  StageWindowLedger xt_ledger_;
-  /// Admitted SFCs kept for departure-time compaction re-plans
-  /// (Planner::kCoScheduled only).
-  std::map<TenantId, Sfc> retained_;
   /// Running PassPackingStats totals and compaction tallies (relaxed
   /// atomics, so ExportMetrics may run beside the control plane).
   common::metrics::RelaxedCounter passes_sequential_;

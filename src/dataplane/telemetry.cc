@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 namespace sfp::dataplane {
 namespace {
@@ -72,12 +73,12 @@ void TelemetryCollector::Record(std::uint32_t wire_bytes,
   ApplyDelta(delta);
 }
 
-void TelemetryCollector::RecordBatch(std::span<const std::uint32_t> wire_bytes,
-                                     std::span<const switchsim::ProcessResult> results) {
+template <typename Indices, typename WireBytes>
+void TelemetryCollector::AccumulateBatch(const Indices& indices, WireBytes wire_bytes,
+                                         std::span<const switchsim::ProcessResult> results) {
   DeltaTable table;
-  const std::size_t n = std::min(wire_bytes.size(), results.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const switchsim::ProcessResult& result = results[i];
+  for (const std::uint32_t index : indices) {
+    const switchsim::ProcessResult& result = results[index];
     const std::uint16_t tenant = result.meta.tenant_id;
     Delta* delta = table.Find(tenant);
     if (delta == nullptr) {
@@ -92,7 +93,7 @@ void TelemetryCollector::RecordBatch(std::span<const std::uint32_t> wire_bytes,
       }
     }
     ++delta->packets;
-    delta->bytes += wire_bytes[i];
+    delta->bytes += wire_bytes(index);
     if (result.meta.dropped) ++delta->drops;
     if (result.passes > 1) ++delta->recirculated_packets;
     delta->total_passes += static_cast<std::uint64_t>(result.passes);
@@ -100,65 +101,35 @@ void TelemetryCollector::RecordBatch(std::span<const std::uint32_t> wire_bytes,
     delta->max_latency_ns = std::max(delta->max_latency_ns, result.latency_ns);
   }
   FlushDeltas(table);
+}
+
+void TelemetryCollector::RecordBatch(std::span<const std::uint32_t> wire_bytes,
+                                     std::span<const switchsim::ProcessResult> results) {
+  const auto n = static_cast<std::uint32_t>(std::min(wire_bytes.size(), results.size()));
+  AccumulateBatch(std::views::iota(std::uint32_t{0}, n),
+                  [wire_bytes](std::uint32_t i) { return wire_bytes[i]; }, results);
 }
 
 void TelemetryCollector::RecordBatch(std::span<const std::uint32_t> indices,
                                      std::span<const net::Packet> packets,
                                      std::span<const switchsim::ProcessResult> results) {
-  DeltaTable table;
-  for (const std::uint32_t index : indices) {
-    const switchsim::ProcessResult& result = results[index];
-    const std::uint16_t tenant = result.meta.tenant_id;
-    Delta* delta = table.Find(tenant);
-    if (delta == nullptr) {
-      delta = table.TryAdd(tenant);
-      if (delta == nullptr) {
-        FlushDeltas(table);
-        table.size = 0;
-        delta = table.TryAdd(tenant);
-      }
-    }
-    ++delta->packets;
-    delta->bytes += packets[index].WireBytes();
-    if (result.meta.dropped) ++delta->drops;
-    if (result.passes > 1) ++delta->recirculated_packets;
-    delta->total_passes += static_cast<std::uint64_t>(result.passes);
-    delta->latency_fp += QuantizeLatency(result.latency_ns);
-    delta->max_latency_ns = std::max(delta->max_latency_ns, result.latency_ns);
-  }
-  FlushDeltas(table);
+  AccumulateBatch(indices, [packets](std::uint32_t i) { return packets[i].WireBytes(); },
+                  results);
 }
 
 void TelemetryCollector::RecordBatch(std::span<const std::uint32_t> indices,
                                      std::span<const std::uint32_t> wire_bytes,
                                      std::span<const switchsim::ProcessResult> results) {
-  DeltaTable table;
-  for (const std::uint32_t index : indices) {
-    const switchsim::ProcessResult& result = results[index];
-    const std::uint16_t tenant = result.meta.tenant_id;
-    Delta* delta = table.Find(tenant);
-    if (delta == nullptr) {
-      delta = table.TryAdd(tenant);
-      if (delta == nullptr) {
-        FlushDeltas(table);
-        table.size = 0;
-        delta = table.TryAdd(tenant);
-      }
-    }
-    ++delta->packets;
-    delta->bytes += wire_bytes[index];
-    if (result.meta.dropped) ++delta->drops;
-    if (result.passes > 1) ++delta->recirculated_packets;
-    delta->total_passes += static_cast<std::uint64_t>(result.passes);
-    delta->latency_fp += QuantizeLatency(result.latency_ns);
-    delta->max_latency_ns = std::max(delta->max_latency_ns, result.latency_ns);
-  }
-  FlushDeltas(table);
+  AccumulateBatch(indices, [wire_bytes](std::uint32_t i) { return wire_bytes[i]; }, results);
 }
 
 void TelemetryCollector::ApplyDelta(const Delta& delta) {
   Shard& shard = state_->shards[ShardOf(delta.tenant)];
   std::lock_guard<std::mutex> lock(shard.mutex);
+  MergeLocked(shard, delta);
+}
+
+void TelemetryCollector::MergeLocked(Shard& shard, const Delta& delta) {
   const auto [it, inserted] = shard.series.try_emplace(delta.tenant);
   Series& series = it->second;
   if (inserted) {
@@ -187,19 +158,7 @@ void TelemetryCollector::FlushDeltas(const DeltaTable& table) {
         shard = &state_->shards[shard_index];
         lock = std::unique_lock<std::mutex>(shard->mutex);
       }
-      const auto [it, inserted] = shard->series.try_emplace(delta.tenant);
-      Series& series = it->second;
-      if (inserted) {
-        series.epoch = state_->series_epoch.fetch_add(1, std::memory_order_relaxed) + 1;
-      }
-      series.departed = false;
-      series.packets += delta.packets;
-      series.bytes += delta.bytes;
-      series.drops += delta.drops;
-      series.recirculated_packets += delta.recirculated_packets;
-      series.total_passes += delta.total_passes;
-      series.latency_fp += delta.latency_fp;
-      series.max_latency_ns = std::max(series.max_latency_ns, delta.max_latency_ns);
+      MergeLocked(*shard, delta);
     }
   }
 }

@@ -287,8 +287,15 @@ class TelemetryCollector {
     std::atomic<std::uint64_t> series_epoch{0};
   };
 
+  /// The one delta loop behind every RecordBatch: records
+  /// results[i] with wire_bytes(i) bytes for each i in `indices`.
+  template <typename Indices, typename WireBytes>
+  void AccumulateBatch(const Indices& indices, WireBytes wire_bytes,
+                       std::span<const switchsim::ProcessResult> results);
   void ApplyDelta(const Delta& delta);  // locks the owning shard
   void FlushDeltas(const DeltaTable& table);
+  /// Adds `delta` to its series; requires `shard`'s mutex held.
+  void MergeLocked(Shard& shard, const Delta& delta);
   /// Requires control_mutex + all shard mutexes held.
   void EvictExcessDepartedLocked();
 

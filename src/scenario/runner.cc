@@ -204,11 +204,9 @@ void ScenarioRunner::CheckConservation(double now_s, ScenarioResult& result) {
             " exceeds capacity " + std::to_string(capacity));
   }
 
-  // Cross-tenant packing extends rule-entry conservation to the shared
-  // stage-window ledger: its books must match the pipeline exactly.
-  for (const auto& issue : system_->data_plane().AuditXtLedger()) {
-    violate("xt ledger: " + issue);
-  }
+  // Per table, under every planner: each physical table holds exactly
+  // the entries the data plane's allocations book there.
+  for (const auto& issue : system_->data_plane().Audit()) violate("data plane: " + issue);
 }
 
 ScenarioResult ScenarioRunner::Run() {

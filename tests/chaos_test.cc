@@ -141,11 +141,20 @@ AdmitOptions FastRetry() {
   return options;
 }
 
+/// The data plane's own books: each table holds exactly the entries
+/// the allocations book there. Safe beside a serving thread, which
+/// never mutates a table.
+void CheckAudit(const SfpSystem& system) {
+  const auto issues = system.data_plane().Audit();
+  ASSERT_TRUE(issues.empty()) << issues.size() << " violations, first: " << issues.front();
+}
+
 /// Asserts every conservation invariant of the quiesced system against
 /// the test's own model of who is admitted.
 void CheckInvariants(SfpSystem& system,
                      const std::map<dataplane::TenantId, Sfc>& admitted,
                      std::uint64_t packets_sent) {
+  ASSERT_NO_FATAL_FAILURE(CheckAudit(system));
   const auto stats = system.Stats();
   ASSERT_EQ(stats.tenants, static_cast<int>(admitted.size()));
 
@@ -261,6 +270,7 @@ void RunConcurrentChurn(bool compiled) {
             ASSERT_FALSE(system.data_plane().IsAllocated(tenant));
           }
         }
+        ASSERT_NO_FATAL_FAILURE(CheckAudit(system));
       }
       server.join();
       packets_sent += packets.size();

@@ -340,5 +340,71 @@ TEST(DataPlaneTest, PlannersCountEveryPendingEntryInTheStage) {
   }
 }
 
+/// Installs a rule owned by `owner` into `table` directly, bypassing
+/// the allocator: (tenant, pass 0) exact, every NF-key field wildcard.
+switchsim::EntryHandle AddStrayEntry(switchsim::MatchActionTable& table, TenantId owner) {
+  std::vector<FieldMatch> matches(table.key().size(), FieldMatch::Any());
+  matches[0] = FieldMatch::Exact(owner);
+  matches[1] = FieldMatch::Exact(0);
+  return table.AddEntry(std::move(matches), /*action=*/0, {}, /*priority=*/0, owner);
+}
+
+/// The one issue `dp.Audit()` reports, or a failure when it reports
+/// any other number.
+std::string OnlyIssue(const DataPlane& dp) {
+  const auto issues = dp.Audit();
+  EXPECT_EQ(issues.size(), 1u);
+  return issues.empty() ? "" : issues.front();
+}
+
+// Under every planner, Audit() holds each physical table to what the
+// allocations book there: admitted tenants leave it clean, each way a
+// table can drift from the books is reported, and a departure leaves
+// it clean again.
+TEST(DataPlaneAuditTest, ReportsEveryTableThatDriftsFromTheBooks) {
+  for (const int planner : {0, 1, 2}) {
+    SCOPED_TRACE("planner " + std::to_string(planner));
+    SwitchConfig config = SmallSwitch();
+    config.planner = static_cast<switchsim::Planner>(planner);
+    DataPlane dp(config);
+    ASSERT_TRUE(dp.InstallPhysicalNf(0, NfType::kClassifier));
+    ASSERT_TRUE(dp.InstallPhysicalNf(1, NfType::kFirewall));
+    for (const TenantId tenant : {1, 2}) {
+      Sfc sfc;
+      sfc.tenant = tenant;
+      sfc.chain = {ClassifierConfig(1), FirewallBlocking(80)};
+      ASSERT_TRUE(dp.AllocateSfc(sfc).ok);
+    }
+    EXPECT_TRUE(dp.Audit().empty());
+    // The only firewall table: both tenants hold entries there.
+    auto& firewall = *dp.pipeline().stage(1).tables().front();
+
+    // An entry the allocation of tenant 1 does not book.
+    const auto extra = AddStrayEntry(firewall, 1);
+    EXPECT_NE(OnlyIssue(dp).find("tenant 1 holds 3 entries, its allocation books 2"),
+              std::string::npos);
+    ASSERT_TRUE(firewall.RemoveEntry(extra));
+    EXPECT_TRUE(dp.Audit().empty());
+
+    // An entry of a tenant with no allocation.
+    const auto stray = AddStrayEntry(firewall, 9);
+    EXPECT_NE(OnlyIssue(dp).find("tenant 9 holds 1 entries and no allocation"),
+              std::string::npos);
+    ASSERT_TRUE(firewall.RemoveEntry(stray));
+    EXPECT_TRUE(dp.Audit().empty());
+
+    // Booked entries the table lost.
+    EXPECT_EQ(firewall.RemoveTenantEntries(2), 2u);
+    EXPECT_NE(OnlyIssue(dp).find("tenant 2 holds 0 entries, its allocation books 2"),
+              std::string::npos);
+
+    // Departures take the books and the tables down together.
+    dp.DeallocateSfc(2);
+    EXPECT_TRUE(dp.Audit().empty());
+    dp.DeallocateSfc(1);
+    EXPECT_TRUE(dp.Audit().empty());
+  }
+}
+
 }  // namespace
 }  // namespace sfp::dataplane

@@ -80,7 +80,7 @@ TEST(RollbackFaultTest, InjectedFaultAtEveryOpIndexRollsBack) {
   // A replacing swap has two steps: take the old entries out, put the
   // new plan in. "dataplane.apply_op" is checked before each. Under
   // Planner::kCoScheduled the restore must also put back the tenant's
-  // stage-window claims and retained SFC.
+  // retained SFC.
   const Sfc replacement = MakeSfc(1, 443, /*extra_rules=*/2);
   for (const bool xt : {false, true}) {
     for (std::size_t fail_at = 0; fail_at < 2; ++fail_at) {
@@ -113,12 +113,12 @@ TEST(RollbackFaultTest, InjectedFaultAtEveryOpIndexRollsBack) {
       EXPECT_TRUE(dp.IsAllocated(2));
       EXPECT_EQ(dp.pipeline().TotalEntriesUsed(), entries_before);
       EXPECT_EQ(ProbeFingerprint(dp), fingerprint_before);
-      EXPECT_TRUE(dp.AuditXtLedger().empty());
+      EXPECT_TRUE(dp.Audit().empty());
       EXPECT_EQ(dp.RetainedSfc(1) != nullptr, xt);
 
       // The same plan still applies once the fault is gone.
       ASSERT_TRUE(dp.SwapSfc(1, &replacement, &plan).ok);
-      EXPECT_TRUE(dp.AuditXtLedger().empty());
+      EXPECT_TRUE(dp.Audit().empty());
     }
   }
 }

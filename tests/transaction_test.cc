@@ -340,7 +340,8 @@ TEST(TransactionTest, PlanningMinusATenantMatchesPlanningAfterItsDeparture) {
         ASSERT_EQ(live.pipeline().stage(k).EntriesUsed(), twin.pipeline().stage(k).EntriesUsed());
         ASSERT_LE(live.pipeline().stage(k).BlocksUsed(), config.blocks_per_stage);
       }
-      ASSERT_TRUE(live.AuditXtLedger().empty());
+      const auto issues = live.Audit();
+      ASSERT_TRUE(issues.empty()) << issues.front();
     }
     EXPECT_GT(probes, 50);
     EXPECT_GT(moved, 20);

@@ -317,19 +317,35 @@ bool AdmitGeneratedTenants(core::SfpSystem& system, int count, std::uint64_t see
   return true;
 }
 
-/// Prints the shared stage-window occupancy ledger: one line per open
-/// (pass, stage) window with its tenant-claim and rule-entry load.
-/// Printed by `trace` under the co-scheduled planner.
-void PrintXtOccupancy(const dataplane::DataPlane& data_plane) {
-  const auto* ledger = data_plane.xt_ledger();
-  if (ledger == nullptr) return;
-  std::printf("stage-window occupancy (%zu tenants, %lld entries booked):\n",
-              ledger->NumTenants(),
-              static_cast<long long>(ledger->TotalEntries()));
-  for (const auto& [key, window] : ledger->windows()) {
-    std::printf("  pass %d stage %-2d  %3lld claims  %5lld entries\n", key.first,
-                key.second, static_cast<long long>(window.claims),
-                static_cast<long long>(window.entries));
+/// Prints the stage-window occupancy of tenants 1..`tenants`, read
+/// from their allocations: one line per (pass, stage) window some
+/// tenant holds, with its NF placements and rule-entry load. Printed
+/// by `trace` under the co-scheduled planner, which keeps each
+/// tenant's chain.
+void PrintXtOccupancy(const dataplane::DataPlane& data_plane, int tenants) {
+  if (data_plane.pipeline().config().planner != switchsim::Planner::kCoScheduled) return;
+  std::map<std::pair<int, int>, std::pair<long long, long long>> windows;  // claims, entries
+  std::size_t allocated = 0;
+  long long booked = 0;
+  for (int t = 1; t <= tenants; ++t) {
+    const auto tenant = static_cast<dataplane::TenantId>(t);
+    const auto* alloc = data_plane.FindAllocation(tenant);
+    const auto* sfc = data_plane.RetainedSfc(tenant);
+    if (alloc == nullptr || sfc == nullptr) continue;
+    ++allocated;
+    for (std::size_t j = 0; j < sfc->chain.size(); ++j) {
+      const long long entries = static_cast<long long>(sfc->chain[j].rules.size()) + 1;
+      auto& window = windows[{alloc->placements[j].pass, alloc->placements[j].stage}];
+      ++window.first;
+      window.second += entries;
+      booked += entries;
+    }
+  }
+  std::printf("stage-window occupancy (%zu tenants, %lld entries booked):\n", allocated,
+              booked);
+  for (const auto& [key, window] : windows) {
+    std::printf("  pass %d stage %-2d  %3lld claims  %5lld entries\n", key.first, key.second,
+                window.first, window.second);
   }
 }
 
@@ -367,7 +383,7 @@ int CmdTrace(const Args& args) {
   }
   if (path.empty()) {
     // Pass-map-only mode: the admission output above is the result.
-    PrintXtOccupancy(system.data_plane());
+    PrintXtOccupancy(system.data_plane(), tenants);
     PrintStats(system, {"pipeline.passes.", "parallelism.xt."});
     return 0;
   }
@@ -416,7 +432,7 @@ int CmdTrace(const Args& args) {
   std::printf("replayed: %llu packets, %d parse errors, mean latency %.0f ns\n",
               static_cast<unsigned long long>(total.packets), parse_errors,
               total.MeanLatencyNs());
-  PrintXtOccupancy(system.data_plane());
+  PrintXtOccupancy(system.data_plane(), tenants);
   PrintStats(system, {"telemetry.", "pipeline.passes.", "parallelism.xt."});
   return 0;
 }
